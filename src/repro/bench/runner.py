@@ -313,8 +313,8 @@ def make_campaign(target: TargetConfig, workers: int,
     with ``resume`` the campaign fast-forwards deterministically to the
     store's last committed epoch and continues.  ``warm_start_dir``
     pre-seeds the shared corpus from *another* campaign's store.
-    ``backend`` picks where workers execute (``thread``, ``process``,
-    ``socket``); remote backends build their engines in the worker,
+    ``backend`` picks where workers execute (``thread`` or
+    ``process``); the process backend builds its engines in the child,
     so ``worker_obs`` only applies to the thread backend.
     """
     from repro.farm import (CampaignOptions, CampaignOrchestrator,

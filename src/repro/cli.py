@@ -34,6 +34,7 @@ import sys
 from repro.bench.runner import make_engine
 from repro.chaos import PROFILES
 from repro.errors import RecoveryExhausted
+from repro.farm import BACKENDS
 from repro.firmware.builder import build_firmware
 from repro.fuzz.oneshot import execute_once
 from repro.fuzz.targets import TARGETS, get_target
@@ -509,12 +510,11 @@ def main(argv=None) -> int:
                             help="max cross-worker seeds imported per "
                                  "worker per sync epoch")
     campaign_p.add_argument("--backend", default="thread",
-                            choices=["thread", "process", "socket"],
+                            choices=BACKENDS,
                             help="where workers execute: in-process "
                                  "threads (default, the determinism "
-                                 "reference), one child process per "
-                                 "board, or loopback sockets speaking "
-                                 "EOFL host frames")
+                                 "reference) or one child process per "
+                                 "board; both give the same campaign")
     campaign_p.add_argument("--shards", type=int, default=None,
                             metavar="N",
                             help="shared-corpus shard count "

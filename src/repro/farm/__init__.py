@@ -7,16 +7,17 @@ and a cross-worker crash triage table, with cycle-based sync epochs
 keeping the whole campaign deterministic given ``(campaign_seed,
 workers, sync_interval)``.
 
-Workers run behind the transport-agnostic :class:`WorkerHandle`
-interface: in-process threads (the determinism reference), one child
-process per board (pipe frames), or EOFL host frames over a socket —
-selected by ``CampaignOptions.backend``.
+Workers run behind the :class:`WorkerHandle` interface, each on one
+:class:`WorkerCore` (an engine plus its barrier bookkeeping): in
+process on a thread pool (the determinism reference) or one child
+process per board (journal-CRC frames over pipes) — selected by
+``CampaignOptions.backend``.
 """
 
 from repro.farm.handles import (  # noqa: F401 (re-exported surface)
     InThreadHandle,
     ProcessHandle,
-    SocketHandle,
+    WorkerCore,
     WorkerHandle,
     WorkerLost,
     build_worker_handles,
@@ -47,8 +48,8 @@ __all__ = [
     "InThreadHandle",
     "ProcessHandle",
     "SeedProvenance",
-    "SocketHandle",
     "TriagedCrash",
+    "WorkerCore",
     "WorkerHandle",
     "WorkerLost",
     "WorkerSpec",

@@ -1,35 +1,35 @@
-"""Transport-agnostic worker handles: thread, subprocess, socket.
+"""Worker handles: one interface, a thread backend and a process backend.
 
 The orchestrator drives every worker through one interface,
 :class:`WorkerHandle` — begin/join an epoch, inspect what the worker
 knows, deliver imports, collect the final result — so *where* the
-engine runs (a pool thread, a child process, the far end of a socket)
-is a transport decision, not an orchestration one.
+engine runs (a pool thread or a child process) is a transport
+decision, not an orchestration one.
 
-Backends:
+Both backends run their board through one :class:`WorkerCore`: the
+engine plus the barrier bookkeeping that turns an epoch into a delta
+(entries not yet offered, edges not yet reported, crashes past the
+last offset).
 
-* :class:`InThreadHandle` — the engine lives in this process and runs
-  on the orchestrator's thread pool.  This is the determinism
-  reference: its bookkeeping is exactly the pre-refactor
-  orchestrator's, so fixed ``(campaign_seed, workers, sync_interval)``
-  campaigns stay byte-identical.
-* :class:`ProcessHandle` — one engine per child process
+* :class:`InThreadHandle` — the core lives in this process; its epoch
+  runs on the orchestrator's thread pool and its delta is taken on the
+  coordinator at the barrier.  This is the determinism reference:
+  fixed ``(campaign_seed, workers, sync_interval)`` campaigns stay
+  byte-identical.
+* :class:`ProcessHandle` — the core lives in a child process
   (``python -m repro.farm.procworker``), epoch results exchanged as
   canonical-JSON frames over pipes under the journal's CRC discipline
   (:mod:`repro.farm.wire`).
-* :class:`SocketHandle` — the same protocol over the EOFL host framing
-  (:mod:`repro.link.host`); the handle spawns a loopback worker, but
-  the stream would carry across hosts unchanged.
 
-Remote handles mirror the worker's offered/delivered digest sets and
-edge frontier on the coordinator, updating them from each epoch's
+The process handle mirrors the worker's offered/delivered digest sets
+and edge frontier on the coordinator, updating them from each epoch's
 *delta*.  At a barrier the mirror equals the live engine state the
 in-thread backend reads directly: pushes always precede pulls within a
 barrier, imports injected via replay only execute in the *next* epoch
 (so they arrive in the next delta), and a DONE worker's later deltas
-are empty.  That equality is what makes the process/socket backends
-produce the same merged frontier, corpus digests and crash signatures
-as the in-thread reference — with O(delta) traffic.
+are empty.  That equality is what makes the process backend produce
+the same merged frontier, corpus digests and crash signatures as the
+in-thread reference — with O(delta) traffic.
 
 A dead transport surfaces as :class:`WorkerLost`; the orchestrator
 degrades the board to quarantined instead of hanging the barrier.
@@ -51,10 +51,10 @@ from repro.fuzz.feedback import CoverageMap
 from repro.fuzz.stats import FuzzStats
 from repro.farm.wire import (
     PipeFrameIO,
-    SocketFrameIO,
     WorkerSpec,
     WorkerTransportError,
     decode_epoch_result,
+    encode_epoch_result,
     frame_size,
 )
 
@@ -85,9 +85,98 @@ class EpochOutcome:
     crashes: List[CrashReport] = field(default_factory=list)
     summary: Dict[str, int] = field(default_factory=dict)
     cycles: int = 0
-    #: Bytes the epoch result cost on the wire (measured for remote
-    #: backends, computed-equivalent for the in-thread one).
+    #: Bytes the epoch result cost on the wire (measured for the
+    #: process backend, computed-equivalent for the in-thread one).
     wire_bytes: int = 0
+
+
+def encode_outcome(outcome: EpochOutcome) -> Dict[str, object]:
+    """The ``epoch_result`` frame body of one outcome."""
+    return encode_epoch_result(
+        outcome.status, outcome.entries, outcome.edges,
+        outcome.crashes, outcome.summary, outcome.cycles)
+
+
+class WorkerCore:
+    """One engine plus the delta bookkeeping of its barriers.
+
+    Both backends run a board through this class: the in-thread handle
+    on the orchestrator's pool, the child process behind its pipe.
+    :meth:`run` is the epoch body and only runs the engine;
+    :meth:`close_epoch` takes what is new since the last barrier.
+    """
+
+    #: Concurrency contract (EOF401): barrier bookkeeping.  A pool
+    #: thread only ever executes :meth:`run`, which writes none of it.
+    GUARDED_BY = {
+        "_offered": "@barrier",
+        "_delivered": "@barrier",
+        "_reported_edges": "@barrier",
+        "_crash_offset": "@barrier",
+    }
+
+    def __init__(self, engine: EofEngine, budget_cycles: int):
+        self.engine = engine
+        self.budget_cycles = budget_cycles
+        self._offered: Set[str] = set()
+        self._delivered: Set[str] = set()
+        self._reported_edges: Set[int] = set()
+        self._crash_offset = 0
+
+    def run(self, target_cycles: int) -> str:
+        """Fuzz to the epoch target; the worker's status afterwards."""
+        try:
+            if self.engine.run_until(target_cycles):
+                return LIVE if self.cycles() < self.budget_cycles \
+                    else DONE
+            return DONE
+        except RecoveryExhausted:
+            # Quarantined board: the worker is dead, its findings are
+            # not — the barrier still merges them.
+            return ABORTED
+
+    def close_epoch(self, status: str) -> EpochOutcome:
+        """The barrier's outcome: entries not yet offered, edges not
+        yet reported, crashes past the last offset."""
+        engine = self.engine
+        entries = [entry for entry in engine.corpus.entries
+                   if entry.digest not in self._offered]
+        self._offered.update(entry.digest for entry in entries)
+        edges = engine.coverage.edges - self._reported_edges
+        self._reported_edges |= edges
+        unique = engine.crash_db.unique_crashes()
+        crashes = unique[self._crash_offset:]
+        self._crash_offset = len(unique)
+        return EpochOutcome(status=status, entries=entries, edges=edges,
+                            crashes=crashes, summary=self.summary(),
+                            cycles=self.cycles())
+
+    def known_digests(self) -> Set[str]:
+        return (self._offered | self._delivered
+                | set(self.engine.corpus.digests()))
+
+    def deliver(self, entries: List[CorpusEntry], replay: bool) -> None:
+        self._delivered.update(entry.digest for entry in entries)
+        if replay:
+            self.engine.inject_programs(
+                [entry.program for entry in entries])
+        else:
+            self.engine.import_entries(entries)
+
+    def summary(self) -> Dict[str, int]:
+        stats = self.engine.stats
+        return {
+            "edges": self.engine.coverage.edge_count,
+            "execs": stats.programs_executed,
+            "crashes": stats.unique_crashes,
+            "restores": stats.restorations,
+            "snapshot_restores": stats.snapshot_restores,
+            "snapshot_fallbacks": stats.snapshot_fallbacks,
+        }
+
+    def cycles(self) -> int:
+        session = self.engine.session
+        return 0 if session is None else session.board.machine.cycles
 
 
 class WorkerHandle:
@@ -142,39 +231,29 @@ class WorkerHandle:
 
 
 class InThreadHandle(WorkerHandle):
-    """The engine runs in-process on the orchestrator's pool.
+    """The worker core runs in-process on the orchestrator's pool.
 
     Byte-identity with the pre-refactor orchestrator comes from keeping
-    its exact bookkeeping: the epoch body (worker context) only runs
-    the engine; every digest/crash-offset update happens in
-    :meth:`join_epoch` on the coordinator, at the barrier.
+    its exact ordering: the epoch body (worker context) is
+    :meth:`WorkerCore.run`, which only runs the engine; the delta is
+    taken in :meth:`join_epoch` on the coordinator, at the barrier.
     """
 
     backend = "thread"
 
     #: Concurrency contract (EOF401): coordinator bookkeeping, touched
     #: only between epochs while the pool is joined — never from worker
-    #: or signal context.  The epoch body writes no handle state.
-    GUARDED_BY = {
-        "_future": "@barrier",
-        "_offered": "@barrier",
-        "_delivered": "@barrier",
-        "_reported_edges": "@barrier",
-        "_crash_offset": "@barrier",
-    }
+    #: or signal context.
+    GUARDED_BY = {"_future": "@barrier"}
 
     def __init__(self, index: int, engine: EofEngine,
                  worker_budget: int):
         super().__init__(index)
         self.engine = engine
-        self.worker_budget = worker_budget
+        self.core = WorkerCore(engine, worker_budget)
         #: The orchestrator's pool, installed before the first epoch.
         self.executor = None
         self._future = None
-        self._offered: Set[str] = set()
-        self._delivered: Set[str] = set()
-        self._reported_edges: Set[int] = set()
-        self._crash_offset = 0
 
     def begin_start(self) -> None:
         # Boot happens here, sequentially with the other workers'
@@ -187,74 +266,30 @@ class InThreadHandle(WorkerHandle):
         return None
 
     def begin_epoch(self, epoch: int, target_cycles: int) -> None:
-        self._future = self.executor.submit(self._epoch_body,
-                                            target_cycles)
-
-    def _epoch_body(self, target_cycles: int) -> str:
-        # Worker context: runs only the engine; handle bookkeeping
-        # waits for the barrier.
-        engine = self.engine
-        try:
-            if engine.run_until(target_cycles):
-                cycles = engine.session.board.machine.cycles
-                return LIVE if cycles < self.worker_budget else DONE
-            return DONE
-        except RecoveryExhausted:
-            # Quarantined board: the worker is dead, its findings are
-            # not — the barrier still merges them.
-            return ABORTED
+        self._future = self.executor.submit(self.core.run, target_cycles)
 
     def join_epoch(self) -> EpochOutcome:
         status = self._future.result()
         self._future = None
-        engine = self.engine
-        delta = [entry for entry in engine.corpus.entries
-                 if entry.digest not in self._offered]
-        self._offered.update(entry.digest for entry in delta)
-        fresh_edges = engine.coverage.edges - self._reported_edges
-        self._reported_edges |= fresh_edges
-        unique = engine.crash_db.unique_crashes()
-        crashes = unique[self._crash_offset:]
-        self._crash_offset = len(unique)
-        return EpochOutcome(status=status, entries=delta,
-                            edges=fresh_edges, crashes=crashes,
-                            summary=self.summary(),
-                            cycles=self.cycles())
+        return self.core.close_epoch(status)
 
     def known_digests(self) -> Set[str]:
-        return (self._offered | self._delivered
-                | set(self.engine.corpus.digests()))
+        return self.core.known_digests()
 
     def local_edges(self) -> Set[int]:
         return self.engine.coverage.edges
 
     def deliver(self, entries: List[CorpusEntry], replay: bool) -> None:
-        self._delivered.update(entry.digest for entry in entries)
-        if replay:
-            self.engine.inject_programs(
-                [entry.program for entry in entries])
-        else:
-            self.engine.import_entries(entries)
+        self.core.deliver(entries, replay)
 
     def absorb_frontier(self, edges: Set[int]) -> None:
         self.engine.absorb_frontier(edges)
 
     def summary(self) -> Dict[str, int]:
-        stats = self.engine.stats
-        return {
-            "edges": self.engine.coverage.edge_count,
-            "execs": stats.programs_executed,
-            "crashes": stats.unique_crashes,
-            "restores": stats.restorations,
-            "snapshot_restores": stats.snapshot_restores,
-            "snapshot_fallbacks": stats.snapshot_fallbacks,
-        }
+        return self.core.summary()
 
     def cycles(self) -> int:
-        engine = self.engine
-        if engine.session is None:
-            return 0
-        return engine.session.board.machine.cycles
+        return self.core.cycles()
 
     def finish(self) -> FuzzResult:
         return self.engine.finish()
@@ -264,7 +299,7 @@ class InThreadHandle(WorkerHandle):
 
 
 class _RemoteHandle(WorkerHandle):
-    """Shared protocol driver for process and socket workers.
+    """Protocol driver for a worker core behind a frame stream.
 
     All I/O happens on the coordinator thread; the fields below are
     coordinator-side mirrors of the worker, advanced by epoch deltas.
@@ -277,7 +312,6 @@ class _RemoteHandle(WorkerHandle):
         "_edges": "@barrier",
         "_summary": "@barrier",
         "_cycles": "@barrier",
-        "_pending_epoch": "@barrier",
         "_lost_reason": "@barrier",
         "_final": "@barrier",
     }
@@ -291,7 +325,6 @@ class _RemoteHandle(WorkerHandle):
         self._summary: Dict[str, int] = {
             key: 0 for key in SUMMARY_FIELDS}
         self._cycles = 0
-        self._pending_epoch = False
         self._lost_reason = ""
         self._final: Optional[FuzzResult] = None
 
@@ -345,11 +378,9 @@ class _RemoteHandle(WorkerHandle):
 
     def begin_epoch(self, epoch: int, target_cycles: int) -> None:
         self._send("epoch", {"epoch": epoch, "target": target_cycles})
-        self._pending_epoch = True
 
     def join_epoch(self) -> EpochOutcome:
         payload = self._recv("epoch_result")
-        self._pending_epoch = False
         status, entries, edges, crashes, summary, cycles = \
             decode_epoch_result(payload)
         self._known.update(entry.digest for entry in entries)
@@ -442,11 +473,6 @@ class _RemoteHandle(WorkerHandle):
         self._close_transport()
 
 
-def _worker_argv(transport: str, extra: List[str]) -> List[str]:
-    return ([sys.executable, "-m", "repro.farm.procworker",
-             "--transport", transport] + extra)
-
-
 def _worker_env() -> Dict[str, str]:
     """Child environment with this repro package importable."""
     import repro
@@ -461,7 +487,8 @@ def _worker_env() -> Dict[str, str]:
 
 
 class ProcessHandle(_RemoteHandle):
-    """One engine in a child process, frames over stdin/stdout pipes."""
+    """One worker core in a child process, frames over stdin/stdout
+    pipes."""
 
     backend = "process"
 
@@ -472,7 +499,7 @@ class ProcessHandle(_RemoteHandle):
     def _open_transport(self) -> None:
         try:
             self._proc = subprocess.Popen(
-                _worker_argv("pipe", []),
+                [sys.executable, "-m", "repro.farm.procworker"],
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                 env=_worker_env())
         except OSError as exc:
@@ -491,84 +518,20 @@ class ProcessHandle(_RemoteHandle):
                 self._proc.wait()
 
 
-class SocketHandle(_RemoteHandle):
-    """The same worker protocol over EOFL host frames on a socket.
-
-    Spawns a loopback worker that connects back to an ephemeral
-    listener; the framing (``repro.link.host``) is host-agnostic, so
-    the handle is the template for real cross-host fleets.
-    """
-
-    backend = "socket"
-
-    def __init__(self, index: int, spec: WorkerSpec):
-        super().__init__(index, spec)
-        self._proc: Optional[subprocess.Popen] = None
-        self._stream = None
-
-    def _open_transport(self) -> None:
-        import socket as socket_module
-
-        from repro.link.host import HostFrameStream
-        listener = socket_module.socket(socket_module.AF_INET,
-                                        socket_module.SOCK_STREAM)
-        try:
-            listener.bind(("127.0.0.1", 0))
-            listener.listen(1)
-            port = listener.getsockname()[1]
-            try:
-                self._proc = subprocess.Popen(
-                    _worker_argv("socket", ["--connect", str(port)]),
-                    env=_worker_env())
-            except OSError as exc:
-                raise WorkerLost(self.index,
-                                 f"spawn failed: {exc}") from exc
-            listener.settimeout(60.0)
-            try:
-                conn, _ = listener.accept()
-            except OSError as exc:
-                raise WorkerLost(
-                    self.index,
-                    f"worker never connected: {exc}") from exc
-        finally:
-            listener.close()
-        self._stream = HostFrameStream(conn)
-        self._io = SocketFrameIO(self._stream)
-
-    def _close_transport(self) -> None:
-        if self._stream is not None:
-            self._stream.close()
-        if self._proc is not None:
-            try:
-                self._proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
-
-
-def build_worker_handles(backend: str, workers: int,
-                         spec_template: WorkerSpec,
+def build_worker_handles(workers: int, spec_template: WorkerSpec,
                          seeds: List[int],
                          worker_budget: int) -> List[WorkerHandle]:
-    """Per-worker remote handles from one spec template."""
-    cls = {"process": ProcessHandle, "socket": SocketHandle}[backend]
-    handles: List[WorkerHandle] = []
-    for index in range(workers):
-        spec = replace(spec_template, index=index, seed=seeds[index],
-                       budget_cycles=worker_budget,
-                       name=f"eof-w{index}")
-        handles.append(cls(index, spec))
-    return handles
+    """Per-worker process handles from one spec template."""
+    return [ProcessHandle(index, replace(
+        spec_template, index=index, seed=seeds[index],
+        budget_cycles=worker_budget, name=f"eof-w{index}"))
+        for index in range(workers)]
 
 
 def estimate_outcome_bytes(outcome: EpochOutcome) -> int:
     """Wire size the outcome *would* cost as a pipe frame.
 
     Only the in-thread backend calls this (and only with observability
-    enabled): remote backends report measured frame bytes instead.
+    enabled): the process backend reports measured frame bytes instead.
     """
-    from repro.farm.wire import encode_epoch_result
-    payload = encode_epoch_result(
-        outcome.status, outcome.entries, outcome.edges,
-        outcome.crashes, outcome.summary, outcome.cycles)
-    return frame_size("epoch_result", payload)
+    return frame_size("epoch_result", encode_outcome(outcome))

@@ -6,13 +6,13 @@ its own cycle clock crosses the epoch boundary, then a barrier merges
 worker state into the shared :class:`CampaignState` and delivers
 cross-worker seed imports, and the next epoch begins.
 
-Workers run behind the transport-agnostic :class:`WorkerHandle`
-interface (:mod:`repro.farm.handles`): the ``thread`` backend keeps
-every engine in-process (the determinism reference), ``process`` runs
-one engine per child process with epoch deltas framed over pipes, and
-``socket`` speaks the same protocol over EOFL host frames.  The store
-stays coordinator-only under every backend, so persistence and resume
-are backend-independent.
+Workers run behind the :class:`WorkerHandle` interface
+(:mod:`repro.farm.handles`), each on one :class:`WorkerCore`: the
+``thread`` backend keeps every engine in-process (the determinism
+reference), and ``process`` runs one engine per child process with
+epoch deltas framed over pipes.  The store stays coordinator-only
+under both backends, so persistence and resume are
+backend-independent.
 
 Determinism argument
 --------------------
@@ -29,10 +29,9 @@ sync_interval)``:
   reorder any observable merge;
 * sync points are **cycle-based** (epoch ``k`` ends at ``k *
   sync_interval`` virtual cycles per worker), never wall-clock-based;
-* remote backends ship only *deltas* (new seeds, new edges, new
-  crashes since the last barrier), and merging a delta stream is
-  state-identical to merging the full sets the in-thread backend
-  reads directly.
+* both backends merge only *deltas* (new seeds, new edges, new
+  crashes since the last barrier), taken by the same worker core, and
+  merging a delta stream is state-identical to merging the full sets.
 
 A worker whose transport dies mid-epoch is treated like a quarantined
 board: the un-synced epoch is discarded, a ``farm.worker.lost`` event
@@ -73,7 +72,7 @@ _LIVE, _DONE, _ABORTED = LIVE, DONE, ABORTED
 
 #: The campaign backends ``--backend`` may name, with the numeric code
 #: the ``farm.backend`` gauge reports.
-BACKENDS = ("thread", "process", "socket")
+BACKENDS = ("thread", "process")
 
 #: Sync-delta size buckets, in bytes: a lone seed frame lands in the
 #: low hundreds, a busy epoch in the tens of KiB, and anything past a
@@ -142,9 +141,8 @@ class CampaignOptions:
     shared_corpus_max: int = MAX_CORPUS
     name: str = "eof-farm"
     #: Where worker engines execute: ``thread`` (in-process, the
-    #: determinism reference), ``process`` (one child process per
-    #: board, pipe frames), ``socket`` (EOFL host frames).  Every
-    #: backend replays the same campaign.
+    #: determinism reference) or ``process`` (one child process per
+    #: board, pipe frames).  Both backends replay the same campaign.
     backend: str = "thread"
     #: Content-hash buckets of the shared corpus; push/pull contends
     #: only on the shards a delta lands in.  Observationally
@@ -184,7 +182,7 @@ def campaign_config(options: CampaignOptions,
     and ``corpus_shards`` are deliberately excluded: transport and
     partitioning choices replay the same campaign (the backend
     acceptance gate), so a store written under one backend may resume
-    under another.
+    under the other.
     """
     config: Dict[str, object] = asdict(options)
     config.pop("backend", None)
@@ -273,8 +271,7 @@ class CampaignOrchestrator:
                     f"the {self.options.backend} backend needs a "
                     f"worker spec template")
             self.handles = build_worker_handles(
-                self.options.backend, self.options.workers,
-                worker_spec, seeds, per_worker)
+                self.options.workers, worker_spec, seeds, per_worker)
         self._status = [_LIVE for _ in self.handles]
         self._lost: Set[int] = set()
         self._epochs_run = 0

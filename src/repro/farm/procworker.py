@@ -2,168 +2,89 @@
 
 One engine per process: the coordinator spawns this module, hands it a
 :class:`~repro.farm.wire.WorkerSpec`, and drives it through the farm
-wire protocol — ``hello``/``start``, then one ``epoch`` request per
-sync barrier answered with a delta-only ``epoch_result``, ``deliver``
-for cross-worker imports, ``finish`` for the final stats, ``exit``.
+wire protocol over stdin/stdout — ``hello``/``start``, then one
+``epoch`` request per sync barrier answered with a delta-only
+``epoch_result``, ``deliver`` for cross-worker imports, ``finish`` for
+the final stats, ``exit``.
 
-The child keeps exactly the barrier bookkeeping the in-thread backend
-keeps on the coordinator (offered digests, reported edges, crash
-offset), so an epoch result carries only what is *new* since the last
-barrier — the O(delta) half of the sharded-sync contract.
-
-Transports: ``--transport pipe`` frames journal-CRC records over
-stdin/stdout (the process backend); ``--transport socket --connect N``
-dials ``127.0.0.1:N`` and speaks EOFL host frames (the socket
-backend).  On the pipe transport, ``sys.stdout`` is rebound to stderr
-before the engine boots so stray prints can never corrupt a frame.
+The child runs its board through the same
+:class:`~repro.farm.handles.WorkerCore` the in-thread backend uses, so
+an epoch result carries exactly the delta an in-thread barrier takes —
+the O(delta) half of the sharded-sync contract.  This module only
+builds the engine from the spec and encodes the replies.
+``sys.stdout`` is rebound to stderr before the engine boots so stray
+prints can never corrupt a frame.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import Dict, List, Optional, Set
+from typing import Optional
 
-from repro.errors import RecoveryExhausted
-from repro.farm.wire import (
-    PipeFrameIO,
-    SocketFrameIO,
-    WorkerSpec,
-    WorkerTransportError,
-    encode_epoch_result,
-)
-from repro.fuzz.corpus import CorpusEntry
-
-#: Status verbs, duplicated from repro.farm.handles to keep this
-#: module import-light in the child (no subprocess machinery).
-_LIVE, _DONE, _ABORTED = "live", "done", "aborted"
+from repro.farm.handles import WorkerCore, encode_outcome
+from repro.farm.wire import PipeFrameIO, WorkerSpec, WorkerTransportError
+from repro.firmware.builder import build_firmware
+from repro.fuzz.corpus import entry_from_record
+from repro.fuzz.engine import EngineOptions, EofEngine
+from repro.fuzz.targets import get_target
+from repro.spec.llmgen import generate_validated_specs
 
 
-class EngineWorker:
-    """One engine plus the delta bookkeeping of its barriers."""
-
-    def __init__(self, spec: WorkerSpec):
-        self.spec = spec
-        self.engine = None
-        self._offered: Set[str] = set()
-        self._reported_edges: Set[int] = set()
-        self._crash_offset = 0
-
-    def start(self) -> Dict[str, object]:
-        from repro.firmware.builder import build_firmware
-        from repro.fuzz.engine import EngineOptions, EofEngine
-        from repro.fuzz.targets import get_target
-        from repro.spec.llmgen import generate_validated_specs
-
-        target = get_target(self.spec.target)
-        build = build_firmware(target.build_config())
-        spec_set = generate_validated_specs(build)
-        self.engine = EofEngine(build, spec_set, EngineOptions(
-            seed=self.spec.seed,
-            budget_cycles=self.spec.budget_cycles,
-            snapshots=self.spec.snapshots,
-            name=self.spec.name))
-        self.engine.start()
-        return {"index": self.spec.index}
-
-    def run_epoch(self, target_cycles: int) -> Dict[str, object]:
-        engine = self.engine
-        try:
-            if engine.run_until(target_cycles):
-                cycles = engine.session.board.machine.cycles
-                status = _LIVE if cycles < self.spec.budget_cycles \
-                    else _DONE
-            else:
-                status = _DONE
-        except RecoveryExhausted:
-            status = _ABORTED
-        delta = [entry for entry in engine.corpus.entries
-                 if entry.digest not in self._offered]
-        self._offered.update(entry.digest for entry in delta)
-        fresh_edges = engine.coverage.edges - self._reported_edges
-        self._reported_edges |= fresh_edges
-        unique = engine.crash_db.unique_crashes()
-        crashes = unique[self._crash_offset:]
-        self._crash_offset = len(unique)
-        return encode_epoch_result(status, delta, fresh_edges, crashes,
-                                   self._summary(), self._cycles())
-
-    def deliver(self, records: List[Dict[str, object]],
-                replay: bool) -> Dict[str, object]:
-        from repro.fuzz.corpus import entry_from_record
-        entries: List[CorpusEntry] = \
-            [entry_from_record(dict(record)) for record in records]
-        if replay:
-            self.engine.inject_programs(
-                [entry.program for entry in entries])
-        else:
-            self.engine.import_entries(entries)
-        return {"count": len(entries)}
-
-    def absorb(self, edges: List[int]) -> Dict[str, object]:
-        self.engine.absorb_frontier({int(edge) for edge in edges})
-        return {}
-
-    def finish(self) -> Dict[str, object]:
-        result = self.engine.finish()
-        return {
-            "name": result.name,
-            "os_name": result.os_name,
-            "stats": result.stats.to_dict(),
-            "edges": sorted(result.coverage.edges),
-            "crashes": [report.to_dict() for report
-                        in result.crash_db.unique_crashes()],
-            "corpus_size": result.corpus_size,
-        }
-
-    def _summary(self) -> Dict[str, int]:
-        stats = self.engine.stats
-        return {
-            "edges": self.engine.coverage.edge_count,
-            "execs": stats.programs_executed,
-            "crashes": stats.unique_crashes,
-            "restores": stats.restorations,
-            "snapshot_restores": stats.snapshot_restores,
-            "snapshot_fallbacks": stats.snapshot_fallbacks,
-        }
-
-    def _cycles(self) -> int:
-        engine = self.engine
-        if engine is None or engine.session is None:
-            return 0
-        return engine.session.board.machine.cycles
+def build_engine(spec: WorkerSpec) -> EofEngine:
+    """Build and boot the spec's engine, as the thread backend's
+    engine factory does."""
+    build = build_firmware(get_target(spec.target).build_config())
+    engine = EofEngine(build, generate_validated_specs(build),
+                       EngineOptions(seed=spec.seed,
+                                     budget_cycles=spec.budget_cycles,
+                                     snapshots=spec.snapshots,
+                                     name=spec.name))
+    engine.start()
+    return engine
 
 
-def serve(io) -> int:
+def serve(io: PipeFrameIO) -> int:
     """Answer coordinator requests until ``exit`` (or transport EOF)."""
     kind, payload = io.recv()
     if kind != "hello":
         io.send("error", {"message": f"expected hello, got {kind!r}"})
         return 1
-    worker = EngineWorker(WorkerSpec.from_dict(
-        dict(payload.get("spec", {}))))
+    spec = WorkerSpec.from_dict(dict(payload.get("spec", {})))
+    core: Optional[WorkerCore] = None
     while True:
         kind, payload = io.recv()
         if kind == "start":
             try:
-                started = worker.start()
+                core = WorkerCore(build_engine(spec), spec.budget_cycles)
             except Exception as exc:  # boot failure -> typed error up
                 io.send("error", {"message": f"{type(exc).__name__}: "
                                              f"{exc}"})
                 return 1
-            io.send("started", started)
+            io.send("started", {"index": spec.index})
         elif kind == "epoch":
-            io.send("epoch_result", worker.run_epoch(
-                int(payload.get("target", 0))))
+            status = core.run(int(payload.get("target", 0)))
+            io.send("epoch_result",
+                    encode_outcome(core.close_epoch(status)))
         elif kind == "deliver":
-            io.send("delivered", worker.deliver(
-                list(payload.get("entries", [])),
-                bool(payload.get("replay", True))))
+            entries = [entry_from_record(dict(record))
+                       for record in payload.get("entries", [])]
+            core.deliver(entries, bool(payload.get("replay", True)))
+            io.send("delivered", {"count": len(entries)})
         elif kind == "frontier":
-            io.send("frontier_ok", worker.absorb(
-                list(payload.get("edges", []))))
+            core.engine.absorb_frontier(
+                {int(edge) for edge in payload.get("edges", [])})
+            io.send("frontier_ok", {})
         elif kind == "finish":
-            io.send("finished", worker.finish())
+            result = core.engine.finish()
+            io.send("finished", {
+                "name": result.name,
+                "os_name": result.os_name,
+                "stats": result.stats.to_dict(),
+                "edges": sorted(result.coverage.edges),
+                "crashes": [report.to_dict() for report
+                            in result.crash_db.unique_crashes()],
+                "corpus_size": result.corpus_size,
+            })
         elif kind == "exit":
             return 0
         else:
@@ -171,31 +92,11 @@ def serve(io) -> int:
             return 1
 
 
-def _open_io(transport: str, port: Optional[int]):
-    if transport == "pipe":
-        rfile = sys.stdin.buffer
-        wfile = sys.stdout.buffer
-        # Anything the engine (or a stray print) writes to stdout would
-        # corrupt the frame stream; reroute the text layer to stderr.
-        sys.stdout = sys.stderr
-        return PipeFrameIO(rfile, wfile)
-    import socket
-
-    from repro.link.host import HostFrameStream
-    sock = socket.create_connection(("127.0.0.1", int(port or 0)),
-                                    timeout=60.0)
-    sock.settimeout(None)
-    return SocketFrameIO(HostFrameStream(sock))
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro.farm.procworker")
-    parser.add_argument("--transport", choices=("pipe", "socket"),
-                        default="pipe")
-    parser.add_argument("--connect", type=int, default=None,
-                        help="coordinator port (socket transport)")
-    args = parser.parse_args(argv)
-    io = _open_io(args.transport, args.connect)
+def main() -> int:
+    io = PipeFrameIO(sys.stdin.buffer, sys.stdout.buffer)
+    # Anything the engine (or a stray print) writes to stdout would
+    # corrupt the frame stream; reroute the text layer to stderr.
+    sys.stdout = sys.stderr
     try:
         return serve(io)
     except WorkerTransportError:

@@ -1,24 +1,23 @@
 """Worker wire protocol: specs, framing and epoch-result payloads.
 
-Everything a campaign moves across a process or host boundary goes
-through this module, in exactly the serialized forms the stack already
-trusts:
+Everything a campaign moves across a process boundary goes through
+this module, in exactly the serialized forms the stack already trusts:
 
 * **payloads** are canonical JSON built from the existing round-trip
   codecs — :func:`repro.fuzz.corpus.entry_to_record`,
   :meth:`repro.fuzz.crash.CrashReport.to_dict`,
   :meth:`repro.fuzz.stats.FuzzStats.to_dict`;
-* **pipe framing** reuses the campaign journal's CRC record format
+* **framing** reuses the campaign journal's CRC record format
   (:func:`repro.db.journal.encode_record`), so a torn or corrupt frame
-  is detected the same way a torn journal is;
-* **socket framing** reuses the EOFL link codec via
-  :class:`repro.link.host.HostFrameStream` — one codec for target and
-  fleet traffic.
+  is detected the same way a torn journal is.
 
-Both framings speak the same ``(kind, payload)`` message surface, so
-the process and socket backends share one protocol driver
-(:mod:`repro.farm.handles` / :mod:`repro.farm.procworker`).  Transport
-death — EOF, broken pipe, CRC failure — always surfaces as
+There is one framing, :class:`PipeFrameIO`, and it runs over any pair
+of binary streams: the process backend hands it a child's
+stdout/stdin.  A future cross-host transport would be
+``PipeFrameIO(sock.makefile("rb"), sock.makefile("wb"))`` — the
+protocol driver (:mod:`repro.farm.handles` /
+:mod:`repro.farm.procworker`) would not change.  Transport death —
+EOF, broken pipe, CRC failure — always surfaces as
 :class:`WorkerTransportError`; the orchestrator maps it to a lost
 worker, never a hung barrier.
 """
@@ -32,11 +31,9 @@ from repro.db.journal import MAGIC, MAX_PAYLOAD, encode_record
 from repro.db.journal import decode_record as _decode_journal_record
 from repro.fuzz.corpus import CorpusEntry, entry_from_record, entry_to_record
 from repro.fuzz.crash import CrashReport
-from repro.link.host import HostFrameStream, host_command, host_payload
 
 __all__ = ["WorkerSpec", "WorkerTransportError", "PipeFrameIO",
-           "SocketFrameIO", "encode_epoch_result", "decode_epoch_result",
-           "frame_size"]
+           "encode_epoch_result", "decode_epoch_result", "frame_size"]
 
 #: Record-type letter of a worker frame in the journal CRC format.
 WIRE_RECORD_TYPE = "W"
@@ -83,7 +80,7 @@ class WorkerTransportError(RuntimeError):
 
 
 class PipeFrameIO:
-    """Journal-CRC frames over a pair of byte streams (stdin/stdout).
+    """Journal-CRC frames over a pair of byte streams.
 
     One message is one journal record whose payload is
     ``{"kind": verb, "body": {...}}``; CRC failure or a short read is a
@@ -93,8 +90,6 @@ class PipeFrameIO:
     def __init__(self, rfile: BinaryIO, wfile: BinaryIO):
         self._rfile = rfile
         self._wfile = wfile
-        self.bytes_sent = 0
-        self.bytes_received = 0
         #: Size of the most recent frame in either direction — the
         #: sync-delta-bytes histogram samples this after each epoch
         #: result.
@@ -109,7 +104,6 @@ class PipeFrameIO:
         except (OSError, ValueError) as exc:
             raise WorkerTransportError(
                 f"worker pipe write failed: {exc}") from exc
-        self.bytes_sent += len(frame)
         self.last_frame_bytes = len(frame)
         return len(frame)
 
@@ -125,7 +119,6 @@ class PipeFrameIO:
         record = _decode_journal_record(header + body)
         if record is None:
             raise WorkerTransportError("worker frame failed CRC")
-        self.bytes_received += _HEADER_SIZE + length
         self.last_frame_bytes = _HEADER_SIZE + length
         payload = record.payload
         kind = str(payload.get("kind", ""))
@@ -153,50 +146,6 @@ class PipeFrameIO:
                 stream.close()
             except (OSError, ValueError):
                 pass
-
-
-class SocketFrameIO:
-    """The same ``(kind, payload)`` surface over an EOFL host stream."""
-
-    def __init__(self, stream: HostFrameStream):
-        self._stream = stream
-        self.last_frame_bytes = 0
-
-    @property
-    def bytes_sent(self) -> int:
-        return self._stream.bytes_sent
-
-    @property
-    def bytes_received(self) -> int:
-        return self._stream.bytes_received
-
-    def send(self, kind: str, payload: Dict[str, object]) -> int:
-        from repro.errors import ProtocolError
-        try:
-            sent = self._stream.send([host_command(kind, payload)])
-        except ProtocolError as exc:
-            raise WorkerTransportError(str(exc)) from exc
-        self.last_frame_bytes = sent
-        return sent
-
-    def recv(self) -> Tuple[str, Dict[str, object]]:
-        from repro.errors import ProtocolError
-        before = self._stream.bytes_received
-        try:
-            commands = self._stream.recv()
-        except ProtocolError as exc:
-            raise WorkerTransportError(str(exc)) from exc
-        if len(commands) != 1:
-            raise WorkerTransportError(
-                f"expected one host command, got {len(commands)}")
-        self.last_frame_bytes = self._stream.bytes_received - before
-        try:
-            return host_payload(commands[0])
-        except ProtocolError as exc:
-            raise WorkerTransportError(str(exc)) from exc
-
-    def close(self) -> None:
-        self._stream.close()
 
 
 # -- epoch-result payload ----------------------------------------------------

@@ -153,6 +153,8 @@ class EofEngine:
         self._inject_queue: List[TestProgram] = []
         self._recent_new_edges: List[int] = []
         self._fresh_edges: List[int] = []
+        #: Board cycle clock when the current program's injection began.
+        self._run_started_at = 0
         self._iteration = 0
         self._clamps_at_start = 0
         # Campaign mode: edges other boards already covered (the global
@@ -572,16 +574,13 @@ class EofEngine:
                     monitor="heap-probe", program=program))
         log_reports = self._scan_logs(program)
         crashed = bool(log_reports)
-        spent = self.session.board.machine.cycles \
-            - getattr(self, "_run_started_at", 0)
         if self.obs.enabled:
+            spent = self._cycles_spent()
             self.obs.histogram("exec.cycles").record(spent)
             self.obs.emit("exec.program", executed=executed,
                           calls=len(program.calls), new_edges=new_edges,
                           cycles_spent=spent, crashed=crashed)
-        if self.options.feedback and (new_edges > 0 or crashed):
-            self.corpus.add(program, new_edges, crashed=crashed,
-                            exec_cycles=spent, edges=self._fresh_edges)
+        if self._admit(program, new_edges, crashed):
             self.coverage.credit_calls(
                 [call.api_id for call in program.calls], new_edges)
             if self.obs.enabled:
@@ -590,6 +589,21 @@ class EofEngine:
                               crashed=crashed, size=len(self.corpus))
             if new_edges > 0 and self._exploiting():
                 self._smash(program)
+
+    def _cycles_spent(self) -> int:
+        """Board cycles the current program has cost so far."""
+        return self.session.board.machine.cycles - self._run_started_at
+
+    def _admit(self, program: TestProgram, new_edges: int,
+               crashed: bool) -> bool:
+        """Save a program that found new edges or a (new) crash into
+        the corpus; True when it was saved."""
+        if not (self.options.feedback and (new_edges > 0 or crashed)):
+            return False
+        self.corpus.add(program, new_edges, crashed=crashed,
+                        exec_cycles=self._cycles_spent(),
+                        edges=self._fresh_edges)
+        return True
 
     def _smash(self, program: TestProgram) -> None:
         """Queue immediate neighbourhood variants of a discovering input
@@ -680,11 +694,7 @@ class EofEngine:
             new_crash = bool(self._scan_logs(program))
         # Save the payload when it found something new — re-admitting
         # every duplicate crasher just burns the budget on restores.
-        if self.options.feedback and (new_edges > 0 or new_crash):
-            spent = self.session.board.machine.cycles \
-                - getattr(self, "_run_started_at", 0)
-            self.corpus.add(program, new_edges, crashed=new_crash,
-                            exec_cycles=spent, edges=self._fresh_edges)
+        if self._admit(program, new_edges, new_crash):
             self.coverage.credit_calls(
                 [call.api_id for call in program.calls], new_edges)
         self._recover()
@@ -705,11 +715,7 @@ class EofEngine:
                 detail=event.detail, monitor="timeout",
                 program=program))
             crashed = True
-        if self.options.feedback and (new_edges > 0 or crashed):
-            spent = self.session.board.machine.cycles \
-                - getattr(self, "_run_started_at", 0)
-            self.corpus.add(program, new_edges, crashed=crashed,
-                            exec_cycles=spent, edges=self._fresh_edges)
+        self._admit(program, new_edges, crashed)
         # Algorithm 1: confirm via the watchdog, then salvage.  A parked
         # PC with intact flash only needs a reboot; the reflash hammer is
         # for images that no longer boot.

@@ -66,15 +66,6 @@ OP_FLASH_WRITE = 11
 OP_RESET = 12
 OP_UART_READ = 13
 OP_COV_DRAIN = 14
-# Host<->host fleet traffic (repro.link.host / repro.farm): the same
-# codec that frames target transactions also frames campaign sync, so
-# framing, byte accounting and corruption behaviour are shared.  These
-# opcodes never reach a DebugPort — the transport dispatch tables do
-# not (and must not) know them.
-OP_EPOCH_RESULT = 15
-OP_SEED_PUSH = 16
-OP_FRONTIER_DELTA = 17
-OP_HOST_CTRL = 18
 
 #: opcode -> the DDI command name the obs layer has always used.
 OP_NAMES = {
@@ -92,10 +83,6 @@ OP_NAMES = {
     OP_RESET: "reset_run",
     OP_UART_READ: "uart_read",
     OP_COV_DRAIN: "cov_drain",
-    OP_EPOCH_RESULT: "epoch_result",
-    OP_SEED_PUSH: "seed_push",
-    OP_FRONTIER_DELTA: "frontier_delta",
-    OP_HOST_CTRL: "host_ctrl",
 }
 
 LINK_MAGIC = b"EOFL"

@@ -1,8 +1,8 @@
-"""Campaign worker backends: thread vs process vs socket.
+"""Campaign worker backends: thread vs process.
 
 The refactor's acceptance gates: the in-thread backend is the
 determinism reference (``tests/test_farm.py`` pins it byte-identical),
-and the remote backends must reproduce its *observable* campaign —
+and the process backend must reproduce its *observable* campaign —
 same merged frontier, same corpus digests, same crash signatures, same
 restore-invariant semantic stats — while shipping only epoch deltas.
 A dead child process degrades to a quarantined board, never a hung
@@ -52,15 +52,11 @@ class TestBackendEquivalence:
         assert remote.merged_edges > 0
         assert observable(remote) == observable(reference)
 
-    def test_socket_backend_matches_thread_reference(self):
-        reference = campaign("thread")
-        remote = campaign("socket")
-        assert observable(remote) == observable(reference)
-
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize("backend", ["carrier", "socket"])
+    def test_unknown_backend_rejected(self, backend):
         with pytest.raises(ValueError, match="backend"):
             CampaignOrchestrator(None,
-                                 CampaignOptions(backend="carrier"))
+                                 CampaignOptions(backend=backend))
 
     def test_remote_backend_needs_worker_spec(self):
         with pytest.raises(ValueError, match="spec"):

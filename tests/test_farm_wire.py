@@ -1,4 +1,4 @@
-"""Farm wire serialization: stats round-trips, frames, host framing.
+"""Farm wire serialization: stats round-trips, frames, socket streams.
 
 The remote campaign backends trust three serialized forms completely:
 ``FuzzStats.to_dict`` (final worker results), the corpus entry records
@@ -15,6 +15,8 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import socket
+import threading
 
 import pytest
 
@@ -22,10 +24,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.agent.protocol import ArgImm, Call, TestProgram  # noqa: E402
-from repro.errors import ProtocolError  # noqa: E402
 from repro.farm.wire import (  # noqa: E402
     PipeFrameIO,
-    SocketFrameIO,
     WorkerSpec,
     WorkerTransportError,
     decode_epoch_result,
@@ -40,12 +40,6 @@ from repro.fuzz.corpus import (  # noqa: E402
 )
 from repro.fuzz.crash import KIND_PANIC, CrashReport  # noqa: E402
 from repro.fuzz.stats import CampaignStats, FuzzStats  # noqa: E402
-from repro.link.codec import OP_READ_U32, Command  # noqa: E402
-from repro.link.host import (  # noqa: E402
-    host_command,
-    host_payload,
-    loopback_pair,
-)
 
 pytestmark = pytest.mark.property
 
@@ -74,8 +68,8 @@ class TestFuzzStatsRoundTrip:
     @given(stats=fuzz_stats)
     @settings(max_examples=100, deadline=None)
     def test_every_field_survives_the_wire(self, stats):
-        # Through the dict AND through canonical JSON (what the pipe
-        # and socket framings actually ship).
+        # Through the dict AND through canonical JSON (what the frames
+        # actually ship).
         wire = json.loads(json.dumps(stats.to_dict(), sort_keys=True))
         restored = FuzzStats.from_dict(wire)
         for field in dataclasses.fields(FuzzStats):
@@ -223,42 +217,66 @@ class TestPipeFraming:
             reader.recv()
 
 
-class TestHostFraming:
-    @given(kind=st.sampled_from(["epoch_result", "deliver", "frontier",
-                                 "hello", "finish"]),
-           payload=st.dictionaries(
-               st.text(min_size=1, max_size=8),
-               st.one_of(counters, st.text(max_size=16)),
-               max_size=5))
-    @settings(max_examples=40, deadline=None)
-    def test_host_command_round_trip(self, kind, payload):
-        assert host_payload(host_command(kind, payload)) == \
-            (kind, payload)
+class CountingReader:
+    """A byte stream that counts the ``read`` calls made on it."""
 
-    def test_target_opcode_rejected_on_host_link(self):
-        command = Command(op=OP_READ_U32, addr=0x2000_0000)
-        with pytest.raises(ProtocolError):
-            host_payload(command)
+    def __init__(self, raw):
+        self.raw = raw
+        self.reads = 0
 
-    def test_loopback_stream_round_trip(self):
-        left, right = loopback_pair()
-        try:
-            io_left = SocketFrameIO(left)
-            io_right = SocketFrameIO(right)
-            sent = io_left.send("epoch_result", {"edges": [1, 2, 3]})
-            kind, payload = io_right.recv()
-            assert (kind, payload) == ("epoch_result",
-                                       {"edges": [1, 2, 3]})
-            assert io_right.last_frame_bytes == sent
-            io_right.send("deliver", {"entries": []})
-            assert io_left.recv() == ("deliver", {"entries": []})
-        finally:
-            left.close()
+    def read(self, count):
+        self.reads += 1
+        return self.raw.read(count)
+
+    def close(self):
+        self.raw.close()
+
+
+def socket_io(sock, rfile=None):
+    """PipeFrameIO over one end of a socket, reading unbuffered so a
+    read returns whatever the socket holds (short reads included)."""
+    return PipeFrameIO(rfile or sock.makefile("rb", buffering=0),
+                       sock.makefile("wb"))
+
+
+class TestSocketStream:
+    """The one framing over a real socket instead of pipes."""
+
+    def test_round_trip_across_short_reads(self):
+        left, right = socket.socketpair()
+        right.settimeout(10)  # a failed send fails the test, not hangs it
+        with left, right:
+            reader = CountingReader(right.makefile("rb", buffering=0))
+            near, far = socket_io(left), socket_io(right, reader)
+            # Far larger than a socket buffer, so the body cannot arrive
+            # in one read and _read_exact must loop.
+            payload = {"edges": list(range(300_000))}
+            sent = []
+            writer = threading.Thread(daemon=True, target=lambda: sent.append(
+                near.send("epoch_result", payload)))
+            writer.start()
+            assert far.recv() == ("epoch_result", payload)
+            writer.join(timeout=10)
+            assert sent == [frame_size("epoch_result", payload)]
+            assert far.last_frame_bytes == sent[0]
+            assert reader.reads > 2  # header + body took several reads
+            far.send("deliver", {"entries": []})
+            assert near.recv() == ("deliver", {"entries": []})
+            near.close()
+            far.close()
+
+    @pytest.mark.parametrize("sent_bytes", [0, 20])
+    def test_closed_peer_is_a_dead_worker(self, sent_bytes):
+        frame = io.BytesIO()
+        PipeFrameIO(io.BytesIO(), frame).send("epoch", {"target": 5})
+        left, right = socket.socketpair()
+        with left:
+            # The peer dies before its frame starts, or part-way through.
+            right.sendall(frame.getvalue()[:sent_bytes])
             right.close()
-
-    def test_closed_peer_is_a_dead_worker(self):
-        left, right = loopback_pair()
-        right.close()
-        with pytest.raises((WorkerTransportError, ProtocolError)):
-            SocketFrameIO(left).recv()
-        left.close()
+            near = socket_io(left)
+            with pytest.raises(WorkerTransportError):
+                near.recv()
+            with pytest.raises(WorkerTransportError):
+                near.send("epoch", {"target": 5})
+            near.close()

@@ -26,6 +26,7 @@ from repro.link.codec import (
     OP_COV_DRAIN,
     OP_READ_U32,
     OP_WRITE_U32,
+    encode_command,
     encode_u32,
 )
 from repro.spec.llmgen import generate_validated_specs
@@ -304,6 +305,14 @@ def test_codec_rejects_trailing_bytes():
     raw = encode_batch([Command(op=OP_READ_U32)]) + b"\x00"
     with pytest.raises(ProtocolError, match="trailing"):
         decode_batch(raw)
+
+
+@pytest.mark.parametrize("op", [15, 16, 17, 18])
+def test_codec_knows_only_target_opcodes(op):
+    # Campaign traffic between hosts has its own framing (repro.farm.wire);
+    # the debug-link codec frames host<->target commands only.
+    with pytest.raises(ProtocolError, match="opcode"):
+        encode_command(Command(op=op))
 
 
 def test_endianness_helpers_reexported_from_ddi():
