@@ -35,7 +35,7 @@ def main() -> None:
     print("\n3. Watchdog #1 (connection timeout) detects the dead target:")
     watchdog = LivenessWatchdog(session)
     try:
-        session.exec_continue()
+        session.link.exec_continue()
         print("   unexpected: target resumed")
     except DebugLinkTimeout:
         print("   -exec-continue timed out, as expected")
@@ -57,8 +57,8 @@ def main() -> None:
           "responsive target fails the PC check:")
     watchdog.reset()
     session.board.machine.wedge("demo wedge")
-    session.exec_continue()   # returns, but the PC never moves
-    watchdog.check()          # seeds PC history
+    session.link.exec_continue()  # returns, but the PC never moves
+    watchdog.check()              # seeds PC history
     alive = watchdog.check()
     print(f"   LivenessWatchDog() -> {alive} "
           f"(stall trips: {watchdog.stall_trips})")

@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from repro.agent.protocol import TestProgram, serialize_program
 from repro.ddi.session import DebugSession, open_session
-from repro.errors import DebugLinkTimeout
+from repro.errors import DebugLinkTimeout, ProtocolError
 from repro.firmware.builder import BuildInfo
 from repro.fuzz.crash import CrashDb, CrashReport, KIND_HANG, KIND_PANIC
 from repro.fuzz.engine import FuzzResult
@@ -130,14 +130,14 @@ class BufferFuzzerBase:
         program = self.make_program(data)
         try:
             raw = serialize_program(program)
-        except Exception:
+        except ProtocolError:
             self.stats.rejected_programs += 1
             return
         layout = self.build.ram_layout
-        gdb = self.session.gdb
+        link = self.session.link
         try:
-            gdb.write_u32(layout.input_buf_addr, len(raw))
-            gdb.write_memory(layout.input_buf_addr + 4, raw)
+            link.write_u32(layout.input_buf_addr, len(raw))
+            link.write_memory(layout.input_buf_addr + 4, raw)
             bp_hits, ok = self._drive()
         except DebugLinkTimeout:
             self.stats.link_timeouts += 1
@@ -155,10 +155,10 @@ class BufferFuzzerBase:
             self.corpus.append(data)
 
     def _drive(self):
-        gdb = self.session.gdb
+        link = self.session.link
         bp_hits: List[int] = []
         for _ in range(2):  # read_prog, execute_one
-            event = gdb.exec_continue()
+            event = link.exec_continue()
             bp_hits.extend(event.bp_hits)
             if self._abnormal(event):
                 return bp_hits, False
@@ -166,7 +166,7 @@ class BufferFuzzerBase:
                 self.stats.rejected_programs += 1
                 return bp_hits, False
         while True:
-            event = gdb.exec_continue()
+            event = link.exec_continue()
             bp_hits.extend(event.bp_hits)
             if event.reason == HaltReason.COV_FULL:
                 self.stats.cov_full_traps += 1
@@ -202,15 +202,16 @@ class BufferFuzzerBase:
             self.stats.unique_crashes += 1
 
     def _drain_truth_coverage(self) -> int:
+        """The engine's delta drain: 0 new edges when the tracer's
+        generation word says nothing landed since the last drain."""
         layout = self.build.ram_layout
-        gdb = self.session.gdb
         try:
-            count = gdb.read_u32(layout.cov_buf_addr)
-            capacity = (layout.cov_buf_size - 4) // 4
-            raw = gdb.read_memory(layout.cov_buf_addr,
-                                  4 + min(count, capacity) * 4)
-            gdb.write_u32(layout.cov_buf_addr, 0)
+            raw = self.session.link.cov_drain(
+                layout.cov_buf_addr, (layout.cov_buf_size - 4) // 4,
+                gen_addr=layout.cov_gen_addr)
         except DebugLinkTimeout:
+            return 0
+        if raw is None:
             return 0
         return self.coverage.add_edges(
             decode_coverage_buffer(raw, obs=getattr(self, "obs", None)))

@@ -71,14 +71,14 @@ class GdbFuzzEngine(BufferFuzzerBase):
 
     def arm_feedback(self) -> None:
         """Aim the hardware comparators at unseen basic blocks."""
-        gdb = self.session.gdb
+        link = self.session.link
         for address in self._armed:
-            gdb.link.clear_breakpoint(address)
+            link.break_delete(address)
         self._armed = []
         uncovered = [a for a in self.targets if a not in self.covered]
         self.rng.random.shuffle(uncovered)
         for address in uncovered[:self.bp_budget]:
-            gdb.link.set_breakpoint(address, "gdbfuzz-cov")
+            link.break_insert(address, "gdbfuzz-cov")
             self._armed.append(address)
 
     def feedback_interesting(self, event_bp_hits: List[int],

@@ -154,7 +154,6 @@ def make_engine(fuzzer: str, build: BuildInfo, seed: int,
                 obs: Optional[Observability] = None,
                 chaos: Optional[str] = None,
                 chaos_seed: Optional[int] = None,
-                link_batching: bool = True,
                 snapshots: bool = True,
                 restore_every: int = 0):
     """Construct a named engine for a built target.
@@ -163,12 +162,10 @@ def make_engine(fuzzer: str, build: BuildInfo, seed: int,
     EOF loop (buffer-based baselines ignore it).  ``chaos`` names a
     :data:`repro.chaos.PROFILES` fault-injection profile for engines
     built on the EOF loop; the buffer-based baselines reject it.
-    ``link_batching=False`` pins the plain EOF engine to the historical
-    one-command-per-round-trip link path (the throughput bench's
-    before/after comparison).  ``snapshots=False`` likewise pins it to
-    the reflash-only recovery ladder, and ``restore_every=N`` restores
-    the pristine post-boot state every N programs (the snapshot
-    throughput bench's workload).
+    ``snapshots=False`` pins the plain EOF engine to the reflash-only
+    recovery ladder, and ``restore_every=N`` restores the pristine
+    post-boot state every N programs (the snapshot throughput bench's
+    workload).
     """
     engine = None
     if fuzzer in ("eof", "eof-nf", "tardis"):
@@ -180,8 +177,7 @@ def make_engine(fuzzer: str, build: BuildInfo, seed: int,
         if fuzzer == "eof":
             engine = EofEngine(build, spec, EngineOptions(
                 seed=seed, budget_cycles=budget_cycles,
-                link_batching=link_batching, snapshots=snapshots,
-                restore_every=restore_every), obs=obs)
+                snapshots=snapshots, restore_every=restore_every), obs=obs)
         elif fuzzer == "eof-nf":
             engine = make_eof_nf_engine(build, spec, seed=seed,
                                         budget_cycles=budget_cycles, obs=obs)
@@ -210,7 +206,6 @@ def run_engine(fuzzer: str, target: TargetConfig, seed: int,
                obs: Optional[Observability] = None,
                chaos: Optional[str] = None,
                chaos_seed: Optional[int] = None,
-               link_batching: bool = True,
                snapshots: bool = True,
                restore_every: int = 0):
     """One seed of one fuzzer on one target; returns (result, build)."""
@@ -219,7 +214,6 @@ def run_engine(fuzzer: str, target: TargetConfig, seed: int,
                          entry_api=entry_api,
                          restrict_modules=restrict_modules, obs=obs,
                          chaos=chaos, chaos_seed=chaos_seed,
-                         link_batching=link_batching,
                          snapshots=snapshots,
                          restore_every=restore_every)
     result = engine.run()
@@ -232,7 +226,6 @@ def run_seeds(fuzzer: str, target: TargetConfig, seeds: int,
               module: Optional[str] = None,
               observe: bool = False,
               chaos: Optional[str] = None,
-              link_batching: bool = True,
               snapshots: bool = True,
               restore_every: int = 0,
               sample_interval: int = 0) -> SeedSummary:
@@ -264,7 +257,6 @@ def run_seeds(fuzzer: str, target: TargetConfig, seeds: int,
                                    entry_api=entry_api,
                                    restrict_modules=restrict_modules,
                                    obs=obs, chaos=chaos, chaos_seed=seed,
-                                   link_batching=link_batching,
                                    snapshots=snapshots,
                                    restore_every=restore_every)
         summary.edges.append(result.edges)

@@ -4,16 +4,17 @@ A :class:`ChaosLink` sits at the transport boundary and is consulted by
 :class:`repro.link.DebugPortTransport` (core-op timeouts, read
 bit-flips, flash corruption, UART loss) and by
 :class:`repro.hw.board.Board` (boot failure after reboot).  Because the
-hooks live on the transport — the one choke point every backend shares —
-batched and composite commands get the same per-primitive fault
-opportunities their unbatched equivalents had.  Install and uninstall
-are attribute flips — the clean path stays a single ``is None`` check
-per operation, so chaos-off runs are unperturbed.
+hooks live on the transport — the one choke point every host-to-target
+command crosses — a composite command such as the coverage drain gets
+one fault opportunity per port primitive it runs, however the commands
+are grouped into transactions.  Install and uninstall are attribute
+flips — the clean path stays a single ``is None`` check per operation,
+so chaos-off runs are unperturbed.
 
-Faults are injected *below* the DDI layer on purpose: the GDB client,
-the watchdogs, the restoration path and the engine all see exactly the
-errors a real flaky board produces (``DebugLinkTimeout``, verify
-mismatches, boot failures), not synthetic exceptions of their own.
+Faults are injected *below* ``session.link`` on purpose: the engine,
+the watchdogs and the restoration path all see exactly the errors a
+real flaky board produces (``DebugLinkTimeout``, verify mismatches,
+boot failures), not synthetic exceptions of their own.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class ChaosLink:
         self.board = board
         self.obs = obs
 
-    # -- hooks called by DebugPort ------------------------------------------
+    # -- hooks called by DebugPortTransport ---------------------------------
 
     def on_core_op(self, op: str) -> None:
         """One core-level debug operation is about to run.

@@ -91,7 +91,6 @@ def _cmd_run(args) -> int:
     engine = make_engine(args.fuzzer, build, args.seed, args.budget,
                          obs=obs, chaos=args.chaos,
                          chaos_seed=args.chaos_seed,
-                         link_batching=not args.no_link_batch,
                          snapshots=not args.no_snapshot)
     chaos_note = f", chaos {args.chaos}" if args.chaos else ""
     print(f"fuzzing {target.name} with {args.fuzzer} "
@@ -111,8 +110,7 @@ def _cmd_run(args) -> int:
         attempts = max(stats.programs_executed + stats.rejected_programs, 1)
         print(f"link: {stats.link_transactions} transactions "
               f"({stats.link_transactions / attempts:.1f}/program), "
-              f"{stats.link_bytes} bytes"
-              + (" [unbatched]" if args.no_link_batch else ""))
+              f"{stats.link_bytes} bytes")
     if stats.recoveries or stats.recovery_failures:
         print(f"recoveries={stats.recoveries} "
               f"reattaches={stats.reattaches} "
@@ -463,10 +461,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--chaos-seed", type=int, default=None,
                        help="separate seed for the fault streams "
                             "(default: --seed)")
-    run_p.add_argument("--no-link-batch", action="store_true",
-                       help="disable debug-link command batching and "
-                            "delta coverage drain (same results, more "
-                            "link transactions)")
     run_p.add_argument("--no-snapshot", action="store_true",
                        help="disable snapshot-tier state restoration "
                             "and recover via the reflash ladder only "

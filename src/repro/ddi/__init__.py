@@ -1,24 +1,15 @@
 """Host-side debug interface (the OpenOCD + GDB pair of §4.3.1).
 
-``OpenOcd`` owns the probe session and the services that keep working
-when the core is dead (flash programming, reset, UART capture);
-``GdbClient`` layers run control, breakpoints and memory inspection on
-top, in GDB/MI vocabulary (``-exec-continue`` etc.).  ``DebugSession``
-bundles both with the build artifacts — it is the "DebugPipe" that
-Algorithm 1's watchdogs and restoration operate on.
-
-All three speak through :mod:`repro.link`, which owns batching, the
-read-through memory cache, and the obs/chaos choke point.  The
-word-size/endianness helpers historically copied around this package
-now live in :mod:`repro.link.codec`; they stay importable from here.
+``DebugSession`` is the "DebugPipe" that Algorithm 1's watchdogs and
+restoration operate on: it owns the probe, the build artifacts and the
+UART stream, and keeps the DebugPipe verbs (flash, reboot, reattach,
+UART drain).  Every other command — memory transfer, breakpoints,
+``-exec-continue``, PC sampling — goes through ``session.link``, the
+:class:`~repro.link.DebugLink` whose methods carry the paper's
+GDB/OpenOCD names and which owns batching, the read-through memory
+cache, and the obs/chaos choke point.
 """
 
-from repro.ddi.openocd import OpenOcd
-from repro.ddi.gdb import GdbClient
 from repro.ddi.session import DebugSession, open_session
-from repro.link.codec import decode_u16, decode_u32, encode_u16, encode_u32
 
-__all__ = [
-    "OpenOcd", "GdbClient", "DebugSession", "open_session",
-    "encode_u16", "decode_u16", "encode_u32", "decode_u32",
-]
+__all__ = ["DebugSession", "open_session"]

@@ -1,23 +1,25 @@
 """The DebugPipe: one object bundling everything the host needs to drive
-one flashed board — probe, GDB client, build artifacts, UART stream.
+one flashed board — the probe, the debug link, build artifacts, the UART
+stream.
 
 This is what Algorithm 1 calls ``DebugPipe``: the watchdogs probe it for
 connection timeouts and PC movement; state restoration flashes partition
-files through it and reboots.
+files through it and reboots.  Every other target command (memory
+transfer, breakpoints, ``-exec-continue``, PC sampling, batching) goes
+through ``session.link``, the session's :class:`~repro.link.DebugLink`.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.ddi.gdb import GdbClient
-from repro.ddi.openocd import OpenOcd
 from repro.errors import DebugLinkTimeout
 from repro.firmware.builder import BuildInfo, flash_build
 from repro.firmware.loader import install_firmware_loader
 from repro.hw.board import Board
 from repro.hw.boards import make_board
-from repro.hw.machine import HaltEvent
+from repro.hw.debug_port import DebugPort
+from repro.link import DebugLink, DebugPortTransport
 from repro.obs import NULL_OBS
 
 # Virtual-time cost of a full probe re-attach: power the board down,
@@ -35,37 +37,17 @@ class DebugSession:
         if obs.enabled:
             # Virtual-cycle timestamps come from this board's clock.
             obs.bind_clock(lambda: board.machine.cycles)
-        self.openocd = OpenOcd(board, obs=obs)
-        self.link = self.openocd.link
-        self.gdb = GdbClient(
-            self.openocd,
-            symbols={name: sym.address for name, sym in build.symbols.items()},
-            obs=obs)
+        self.port = DebugPort(board)
+        self.link = DebugLink(DebugPortTransport(self.port, obs=obs),
+                              obs=obs)
+        self._uart_cursor = 0
 
-    # -- convenience pass-throughs -------------------------------------------
-
-    def batch(self):
-        """Collect link commands and flush them as ONE transaction.
-
-        ``with session.batch():`` around the program-injection writes or
-        a breakpoint re-arm sequence turns N debug-port round-trips into
-        a single exchange.  Reads inside the scope return
-        :class:`~repro.link.PendingReply` handles; call ``.result()``
-        after the scope exits.
-        """
-        return self.link.batch()
-
-    def exec_continue(self) -> HaltEvent:
-        """``-exec-continue`` via the GDB client."""
-        return self.gdb.exec_continue()
-
-    def read_pc(self) -> int:
-        """Sample the target PC."""
-        return self.gdb.read_pc()
+    # -- UART capture -----------------------------------------------------------
 
     def drain_uart(self) -> List[str]:
-        """New UART lines since the last drain."""
-        return self.openocd.drain_uart()
+        """New UART lines since the last drain (host-side log stream)."""
+        lines, self._uart_cursor = self.link.uart_read(self._uart_cursor)
+        return lines
 
     def consume_boot_chatter(self) -> List[str]:
         """Drain the UART until the boot banner stops arriving.
@@ -85,17 +67,17 @@ class DebugSession:
 
     def flash(self, payload: bytes, offset: int) -> None:
         """``DebugPipe.flash(Part.file, Part.offset)``."""
-        self.openocd.flash_write(self.board.flash.base + offset, payload)
+        self.link.flash_write(self.board.flash.base + offset, payload)
 
     def flash_header(self) -> None:
         """Rewrite the master header (part of a full restoration)."""
         from repro.firmware.image import pack_header
         header = pack_header(self.build.partitions)
-        self.openocd.flash_write(self.board.flash.base, header)
+        self.link.flash_write(self.board.flash.base, header)
 
     def reboot(self) -> None:
         """``DebugPipe.reboot()``."""
-        self.openocd.reset_run()
+        self.link.reset_run()
 
     def reattach(self) -> bool:
         """Full session re-attach: detach the probe, power-cycle the
@@ -109,12 +91,12 @@ class DebugSession:
         """
         started_at = self.board.machine.cycles
         self.link.invalidate_cache()
-        self.openocd.close()
+        self.port.disconnect()
         self.board.power_off()
         self.board.machine.tick(POWER_CYCLE_CYCLES)
         self.board.power_on()
         try:
-            self.openocd.connect()
+            self.port.connect()
         except DebugLinkTimeout:
             ok = False
         else:
@@ -127,7 +109,7 @@ class DebugSession:
 
     def close(self) -> None:
         """Detach the probe."""
-        self.openocd.close()
+        self.port.disconnect()
 
 
 def open_session(build: BuildInfo, board: Board = None,
@@ -143,5 +125,5 @@ def open_session(build: BuildInfo, board: Board = None,
     flash_build(board, build)
     board.power_on()
     session = DebugSession(board, build, obs=obs)
-    session.openocd.connect()
+    session.port.connect()
     return session

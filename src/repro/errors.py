@@ -28,7 +28,7 @@ class ReproError(Exception):
 class DebugLinkTimeout(ReproError):
     """The debug interface stopped responding (Algorithm 1, watchdog #1).
 
-    Raised by the GDB client when the target can no longer service debug
+    Raised by the debug link when the target can no longer service debug
     requests, e.g. after a failed boot or a hard wedge.  The liveness
     watchdog treats this as "system unresponsive".
     """

@@ -20,7 +20,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.errors import BuildError
+from repro.errors import BuildError, DebugLinkError
 from repro.firmware.image import Partition, pack_header, \
     write_partitions_to_flash
 from repro.firmware.layout import BuildConfig, PartitionSpec, RamLayout
@@ -74,6 +74,8 @@ class BuildInfo:
 
     def address_of(self, symbol: str) -> int:
         """Resolve a symbol to its address (the host's symbol file)."""
+        if symbol not in self.symbols:
+            raise DebugLinkError(f"no symbol {symbol!r} in the image")
         return self.symbols[symbol].address
 
     def partition_map(self) -> Dict[str, Tuple[bytes, int]]:

@@ -42,7 +42,7 @@ def _load(board: Board) -> Optional[TargetRuntime]:
         ram=board.ram,
         buf_addr=meta.ram_layout.cov_buf_addr,
         buf_size=meta.ram_layout.cov_buf_size,
-        gen_addr=getattr(meta.ram_layout, "cov_gen_addr", 0),
+        gen_addr=meta.ram_layout.cov_gen_addr,
         site_table=site_table,
         enabled_modules=(set(meta.instrument_modules)
                          if meta.instrument_modules is not None else None),

@@ -17,6 +17,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from repro.agent.protocol import (TestProgram, deserialize_program,
                                   serialize_program)
+from repro.errors import ProtocolError
 from repro.fuzz.rng import FuzzRng
 
 CRASH_BONUS = 1.5
@@ -34,7 +35,7 @@ def program_hash(program: TestProgram) -> str:
     """
     try:
         raw = serialize_program(program)
-    except Exception:
+    except ProtocolError:
         raw = repr(program.calls).encode("utf-8", "replace")
     return hashlib.sha256(raw).hexdigest()
 
@@ -78,7 +79,7 @@ def entry_to_record(entry: CorpusEntry) -> Optional[Dict[str, object]]:
     """
     try:
         raw = serialize_program(entry.program)
-    except Exception:
+    except ProtocolError:
         return None
     return {
         "digest": entry.digest or program_hash(entry.program),

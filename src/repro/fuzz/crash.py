@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.agent.protocol import TestProgram
+from repro.errors import ProtocolError
 
 KIND_PANIC = "kernel-panic"
 KIND_ASSERT = "kernel-assertion"
@@ -65,7 +66,7 @@ class CrashReport:
             from repro.agent.protocol import serialize_program
             try:
                 data["program"] = serialize_program(self.program).hex()
-            except Exception:
+            except ProtocolError:
                 pass
         return data
 
@@ -79,7 +80,7 @@ class CrashReport:
             from repro.agent.protocol import deserialize_program
             try:
                 program = deserialize_program(bytes.fromhex(str(raw)))
-            except Exception:
+            except (ProtocolError, ValueError):
                 program = None
         return cls(
             os_name=str(data.get("os_name", "")),

@@ -19,6 +19,7 @@ from repro.errors import (
     DebugLinkError,
     DebugLinkTimeout,
     FlashError,
+    ProtocolError,
     RecoveryExhausted,
 )
 from repro.firmware.builder import BuildInfo
@@ -45,6 +46,13 @@ from repro.spec.model import SpecSet
 
 AGENT_STATUS_CRASHED = 4
 
+#: Chance that the next program mutates a corpus seed instead of being
+#: freshly generated (once the exploitation phase has begun).
+MUTATE_PROBABILITY = 0.25
+#: Syzkaller-style "smash": on new coverage, immediately queue this many
+#: one-shot variants of the discovering input.
+SMASH_COUNT = 6
+
 __all__ = ["AGENT_STATUS_CRASHED", "REBOOT_CYCLES", "EngineOptions",
            "FuzzResult", "EofEngine"]
 
@@ -61,11 +69,6 @@ class EngineOptions:
     use_log_monitor: bool = True
     restore_with_reflash: bool = True   # False = naive reboot-only recovery
     record_hangs_as_crashes: bool = False  # timeout-only detection (Tardis)
-    # Batch link commands (program injection + first continue as one
-    # transaction, single-exchange delta coverage drains).  Off = the
-    # historical one-command-per-round-trip path; results are
-    # byte-identical either way, only the transaction count changes.
-    link_batching: bool = True
     # Snapshot-tier restoration (repro.fuzz.snapshot): capture RAM +
     # registers after the clean boot and recover crashes by dirty-page
     # write-back instead of reflash.  Off = the historical
@@ -78,11 +81,6 @@ class EngineOptions:
     # throughput workload: with snapshots the periodic restore is a
     # dirty-page write-back, without them a full Algorithm 1 reflash.
     restore_every: int = 0
-    mutate_probability: float = 0.25
-    max_calls: int = 12
-    # Syzkaller-style "smash": on new coverage, immediately queue this
-    # many one-shot variants of the discovering input.
-    smash_count: int = 6
     # §6 extension: probe allocator metadata over the debug link every N
     # programs (0 = off).  Catches silent corruption the crash monitors
     # never see.
@@ -217,18 +215,13 @@ class EofEngine:
             self.chaos = install_chaos(self.session, plan, obs=self.obs)
 
     def _arm_sync_breakpoints(self) -> None:
-        """Arm the agent sync points — one batched transaction when
-        batching is on, four round-trips otherwise."""
-        gdb = self.session.gdb
-        if self.options.link_batching:
-            with self.session.batch():
-                for symbol in ("executor_main", "read_prog", "execute_one",
-                               "_kcmp_buf_full"):
-                    gdb.break_insert(symbol, label="agent-sync")
-        else:
+        """Arm the agent sync points in one batched transaction."""
+        link = self.session.link
+        with link.batch():
             for symbol in ("executor_main", "read_prog", "execute_one",
                            "_kcmp_buf_full"):
-                gdb.break_insert(symbol, label="agent-sync")
+                link.break_insert(self.build.address_of(symbol),
+                                  label="agent-sync")
 
     def _rearm_after_boot(self) -> None:
         """Re-install breakpoints lost to a power event (none are on our
@@ -442,7 +435,7 @@ class EofEngine:
             return self._smash_queue.pop()
         if opts.feedback and len(self.corpus) > 0 and \
                 self._exploiting() and \
-                self.rng.chance(opts.mutate_probability):
+                self.rng.chance(MUTATE_PROBABILITY):
             entry = self.corpus.pick(self.rng)
             if entry is not None:
                 with self.obs.span("mutate"):
@@ -453,7 +446,7 @@ class EofEngine:
                                                        other.program)
                     return self.mutator.mutate(entry.program)
         with self.obs.span("generate"):
-            return self.generator.generate(max_calls=opts.max_calls)
+            return self.generator.generate()
 
     # -- one test case ---------------------------------------------------------------
 
@@ -461,53 +454,41 @@ class EofEngine:
         self._fresh_edges = []
         try:
             raw = serialize_program(program)
-        except Exception:
+        except ProtocolError:
             self.stats.rejected_programs += 1
             return
-        gdb = self.session.gdb
+        link = self.session.link
         layout = self.build.ram_layout
         if len(raw) + 4 > layout.input_buf_size:
             self.stats.rejected_programs += 1
             return
         self._run_started_at = self.session.board.machine.cycles
         try:
-            if self.options.link_batching:
-                # Header write + payload write + the resume into
-                # read_prog, pipelined as ONE link transaction (§4.5:
-                # the injection round-trips dominate short programs).
-                with self.obs.span("flash-program"):
-                    with self.session.batch():
-                        gdb.write_u32(layout.input_buf_addr, len(raw))
-                        gdb.write_memory(layout.input_buf_addr + 4, raw)
-                        first = gdb.exec_continue()
-                self._drive(program, first_halt=first.result())
-            else:
-                with self.obs.span("flash-program"):
-                    gdb.write_u32(layout.input_buf_addr, len(raw))
-                    gdb.write_memory(layout.input_buf_addr + 4, raw)
-                self._drive(program)
+            # Header write + payload write + the resume into read_prog,
+            # pipelined as ONE link transaction (§4.5: the injection
+            # round-trips dominate short programs).
+            with self.obs.span("flash-program"):
+                with link.batch():
+                    link.write_u32(layout.input_buf_addr, len(raw))
+                    link.write_memory(layout.input_buf_addr + 4, raw)
+                    first = link.exec_continue()
+            self._drive(program, first.result())
         except DebugLinkTimeout:
             self.stats.link_timeouts += 1
             if self.watchdog is not None:
                 self.watchdog.note_timeout()
             self._salvage()
 
-    def _drive(self, program: TestProgram,
-               first_halt: Optional[HaltEvent] = None) -> None:
-        gdb = self.session.gdb
+    def _drive(self, program: TestProgram, first_halt: HaltEvent) -> None:
+        link = self.session.link
         new_edges = 0
-        # read_prog halt (already reached when the injection batch
-        # carried the first resume).
-        if first_halt is not None:
-            event = first_halt
-        else:
-            with self.obs.span("continue"):
-                event = gdb.exec_continue()
-        if self._handle_abnormal(event, program, new_edges):
+        # ``first_halt`` is the read_prog halt the injection batch
+        # resumed to.
+        if self._handle_abnormal(first_halt, program, new_edges):
             return
         # execute_one halt (or straight back to executor_main on reject).
         with self.obs.span("continue"):
-            event = gdb.exec_continue()
+            event = link.exec_continue()
         if event.symbol == "executor_main":
             self.stats.rejected_programs += 1
             self._post_run(program, new_edges, executed=False)
@@ -517,7 +498,7 @@ class EofEngine:
         # Execution until completion, draining cov-full traps.
         while True:
             with self.obs.span("continue"):
-                event = gdb.exec_continue()
+                event = link.exec_continue()
             if event.reason == HaltReason.COV_FULL:
                 self.stats.cov_full_traps += 1
                 new_edges += self._drain_coverage()
@@ -608,38 +589,27 @@ class EofEngine:
     def _smash(self, program: TestProgram) -> None:
         """Queue immediate neighbourhood variants of a discovering input
         (Syzkaller's smash phase): the gradient is hottest right now."""
-        for _ in range(self.options.smash_count):
+        for _ in range(SMASH_COUNT):
             self._smash_queue.append(self.mutator.mutate(program))
 
     def _drain_coverage(self) -> int:
         layout = self.build.ram_layout
-        gdb = self.session.gdb
         capacity = (layout.cov_buf_size - 4) // 4
         with self.obs.span("drain-coverage"):
-            if self.options.link_batching:
-                # One COV_DRAIN transaction: generation check, count,
-                # body and clear in a single exchange; an unchanged
-                # generation word means nothing new landed and the whole
-                # drain cost one word read.
-                try:
-                    raw = gdb.link.cov_drain(
-                        layout.cov_buf_addr, capacity,
-                        gen_addr=getattr(layout, "cov_gen_addr", 0))
-                except DebugLinkTimeout:
-                    return 0
-                if raw is None:
-                    if self.obs.enabled:
-                        self.obs.counter("link.drain.skipped").inc()
-                    return 0
-            else:
-                try:
-                    count = gdb.read_u32(layout.cov_buf_addr)
-                    count = min(count, capacity)
-                    raw = gdb.read_memory(layout.cov_buf_addr,
-                                          4 + count * 4)
-                except DebugLinkTimeout:
-                    return 0
-                gdb.write_u32(layout.cov_buf_addr, 0)
+            # One COV_DRAIN transaction: generation check, count, body
+            # and clear in a single exchange; an unchanged generation
+            # word means nothing new landed and the whole drain cost one
+            # word read.
+            try:
+                raw = self.session.link.cov_drain(
+                    layout.cov_buf_addr, capacity,
+                    gen_addr=layout.cov_gen_addr)
+            except DebugLinkTimeout:
+                return 0
+            if raw is None:
+                if self.obs.enabled:
+                    self.obs.counter("link.drain.skipped").inc()
+                return 0
             edges = decode_coverage_buffer(raw, obs=self.obs)
             fresh_edges = self.coverage.add_new(edges)
             if self.foreign_edges:

@@ -143,8 +143,8 @@ class HeapHealthProbe:
             return None
         layout = self.session.build.ram_layout
         try:
-            raw = self.session.gdb.read_memory(layout.kernel_heap_base,
-                                               layout.kernel_heap_size)
+            raw = self.session.link.read_memory(layout.kernel_heap_base,
+                                                layout.kernel_heap_size)
         except DebugLinkTimeout:
             return None
         self.probes += 1

@@ -16,6 +16,7 @@ import re
 from typing import List, Sequence
 
 from repro.ddi.session import DebugSession
+from repro.errors import DebugLinkError, DebugLinkTimeout
 from repro.fuzz.crash import (
     CrashReport,
     KIND_ASSERT,
@@ -91,8 +92,10 @@ class ExceptionMonitor:
         """Insert breakpoints at every exception symbol (once)."""
         if self._armed:
             return
+        link = self.session.link
         for symbol in self.exception_symbols:
-            self.session.gdb.break_insert(symbol, label="exception-monitor")
+            link.break_insert(self.session.build.address_of(symbol),
+                              label="exception-monitor")
         self._armed = True
 
     def matches(self, event: HaltEvent) -> bool:
@@ -121,9 +124,10 @@ class ExceptionMonitor:
 
     def _read_crash_block(self) -> "tuple[int, str]":
         layout = self.session.build.ram_layout
+        link = self.session.link
         try:
-            raw = self.session.gdb.read_memory(layout.crash_addr, 12)
-        except Exception:
+            raw = link.read_memory(layout.crash_addr, 12)
+        except (DebugLinkError, DebugLinkTimeout):
             return 0, ""
         magic = int.from_bytes(raw[0:4], "little")
         if magic != CRASH_MAGIC:
@@ -133,5 +137,5 @@ class ExceptionMonitor:
                      layout.crash_size - 12)
         if length <= 0:
             return cause_code, ""
-        text = self.session.gdb.read_memory(layout.crash_addr + 12, length)
+        text = link.read_memory(layout.crash_addr + 12, length)
         return cause_code, text.decode("utf-8", "replace")

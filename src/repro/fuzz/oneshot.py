@@ -84,10 +84,10 @@ def execute_once(target: TargetConfig,
     if board.boot_failed:
         raise RuntimeError("target did not boot")
     kernel = board.runtime.kernel
-    gdb = session.gdb
+    link = session.link
     for symbol in ("executor_main", "read_prog", "execute_one",
                    "_kcmp_buf_full"):
-        gdb.break_insert(symbol, label="agent-sync")
+        link.break_insert(build.address_of(symbol), label="agent-sync")
     exc_monitor = ExceptionMonitor(session, build.config.os_name,
                                    [kernel.EXCEPTION_SYMBOL])
     exc_monitor.arm()
@@ -97,20 +97,20 @@ def execute_once(target: TargetConfig,
     program = build_program(build, calls)
     raw = serialize_program(program)
     layout = build.ram_layout
-    with session.batch():
-        gdb.write_u32(layout.input_buf_addr, len(raw))
-        gdb.write_memory(layout.input_buf_addr + 4, raw)
+    with link.batch():
+        link.write_u32(layout.input_buf_addr, len(raw))
+        link.write_memory(layout.input_buf_addr + 4, raw)
 
     outcome = Outcome(completed=False, session=session)
     for _ in range(max_resumes):
         try:
-            event = gdb.exec_continue()
+            event = link.exec_continue()
         except DebugLinkTimeout:
             outcome.link_timeout = True
             break
         outcome.halts.append(event)
         if event.reason == HaltReason.COV_FULL:
-            gdb.write_u32(layout.cov_buf_addr, 0)
+            link.write_u32(layout.cov_buf_addr, 0)
             continue
         if event.reason == HaltReason.EXCEPTION and \
                 exc_monitor.matches(event):
@@ -122,7 +122,7 @@ def execute_once(target: TargetConfig,
                 event.reason == HaltReason.BREAKPOINT and \
                 len(outcome.halts) >= 2:
             # Consult the agent's status block: 3 = DONE, 5 = BAD_PROG.
-            state = decode_u32(gdb.read_memory(layout.status_addr + 4, 4))
+            state = decode_u32(link.read_memory(layout.status_addr + 4, 4))
             outcome.completed = (state == 3)
             break
     outcome.uart = session.drain_uart()

@@ -302,7 +302,7 @@ class RecoveryLadder:
         if board.boot_failed or board.runtime is None or board.link_lost:
             return False
         try:
-            self.session.read_pc()
+            self.session.link.read_pc()
             if self.rearm is not None:
                 self.rearm()
             self.session.consume_boot_chatter()

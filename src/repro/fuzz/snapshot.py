@@ -21,7 +21,7 @@ it back by rewriting only what changed.
   ranges (kernel heap, agent status, crash block, coverage buffer), a
   reset marks everything.
 * **restore** — write back only the dirty pages plus the canary in one
-  ``session.batch()``, restore the register file, install a fresh copy
+  ``link.batch()``, restore the register file, install a fresh copy
   of the captured runtime, then *verify*: read back the generation word
   and the canary.  A mismatch means the snapshot (or the write-back) is
   suspect — the restore fails, the recovery ladder escalates to the
@@ -153,8 +153,9 @@ class SnapshotManager:
         gen_addr = self.layout.cov_gen_addr
         try:
             link.write_u32(self.canary_addr, SNAPSHOT_CANARY)
-            with session.batch():
-                ram_pending = link.read_mem(board.ram.base, board.ram.size)
+            with link.batch():
+                ram_pending = link.read_memory(board.ram.base,
+                                               board.ram.size)
                 gen_pending = link.read_u32(gen_addr) if gen_addr else None
             self._ram_image = bytes(ram_pending.result())
             self._gen_value = gen_pending.result() if gen_pending else 0
@@ -214,9 +215,9 @@ class SnapshotManager:
         spans = self._dirty_page_spans()
         base = board.ram.base
         try:
-            with session.batch():
+            with link.batch():
                 for addr, length in spans:
-                    link.write_mem(
+                    link.write_memory(
                         addr, self._ram_image[addr - base:
                                               addr - base + length])
                 link.write_u32(self.canary_addr, SNAPSHOT_CANARY)
@@ -252,11 +253,10 @@ class SnapshotManager:
         Inside a batch the link never serves reads from cache, so these
         are real target readbacks of what the write-back produced.
         """
-        session = self.session
-        link = session.link
+        link = self.session.link
         gen_addr = self.layout.cov_gen_addr
         try:
-            with session.batch():
+            with link.batch():
                 canary_pending = link.read_u32(self.canary_addr)
                 gen_pending = link.read_u32(gen_addr) if gen_addr else None
             if canary_pending.result() != SNAPSHOT_CANARY:

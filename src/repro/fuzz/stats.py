@@ -72,8 +72,8 @@ class FuzzStats:
     # repro.analysis.reach); 0 when analysis was unavailable.
     reachable_edges: int = 0
     # Debug-link accounting (repro.link): how many transactions and
-    # frame bytes the run cost.  Excluded from semantic_dict() — batched
-    # and unbatched runs of the same seed differ ONLY here.
+    # frame bytes the run cost.  Excluded from semantic_dict(): they
+    # measure how commands were grouped, not what the fuzzer found.
     link_transactions: int = 0
     link_bytes: int = 0
     # Cycle-clock reading when the fuzzing loop started: the profiler's
@@ -124,10 +124,10 @@ class FuzzStats:
             -> Dict[str, object]:
         """:meth:`to_dict` minus link accounting.
 
-        This is the equality domain of the batched-vs-unbatched
-        determinism gate: everything the fuzzer *found* (coverage,
-        crashes, recoveries, the whole time series) must be
-        byte-identical across modes; only the transport cost may differ.
+        This is the equality domain of a change that only regroups link
+        commands: everything the fuzzer *found* (coverage, crashes,
+        recoveries, the whole time series) must stay byte-identical;
+        only the transport cost may differ.
 
         ``restore_invariant=True`` additionally drops the
         restore-accounting fields and replaces the ``(cycles, edges)``

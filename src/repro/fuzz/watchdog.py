@@ -51,7 +51,7 @@ class LivenessWatchdog:
         PC fails.
         """
         try:
-            pc = self.session.read_pc()
+            pc = self.session.link.read_pc()
         except DebugLinkTimeout:
             self.timeout_trips += 1
             if self.obs.enabled:

@@ -2,12 +2,14 @@
 
 Everything that crosses the hardware debug port goes through one stack:
 
-    DebugLink (batching, delta drain, read-through cache)
-        -> LinkTransport (framing, obs choke point, chaos boundary)
+    DebugLink (GDB/OpenOCD command names, batching, delta drain,
+               read-through cache)
+        -> DebugPortTransport (framing, obs choke point, chaos boundary)
             -> DebugPort (raw probe primitives)
 
-See DESIGN.md ("The link layer") for the batching and invalidation
-semantics and the byte-identical-results invariant.
+A :class:`~repro.ddi.DebugSession` builds the stack and exposes the
+client as ``session.link``.  See DESIGN.md §9 for the batching and
+invalidation semantics.
 """
 
 from repro.link.client import DebugLink, PendingReply
@@ -25,13 +27,12 @@ from repro.link.codec import (
     encode_u32,
     reply_wire_bytes,
 )
-from repro.link.transport import DebugPortTransport, LinkTransport
+from repro.link.transport import DebugPortTransport
 
 __all__ = [
     "Command",
     "DebugLink",
     "DebugPortTransport",
-    "LinkTransport",
     "PendingReply",
     "Reply",
     "command_wire_bytes",

@@ -1,7 +1,11 @@
 """The batched, cached debug-link client.
 
-:class:`DebugLink` is what the DDI layer actually talks to.  It adds the
-three things the raw transport cannot express:
+:class:`DebugLink` is the one object host code uses to command a target
+(``session.link``).  Its command methods carry the paper's GDB/OpenOCD
+names — each is the :data:`~repro.link.codec.OP_NAMES` entry of its
+opcode (``read_memory``, ``exec_continue``, ``break_insert``,
+``reset_run``, ...).  It adds the three things the raw transport cannot
+express:
 
 * **batching** — ``with link.batch():`` collects commands and flushes
   them as ONE transaction at scope exit; reads return
@@ -43,7 +47,7 @@ from repro.link.codec import (
     decode_u32,
     encode_u32,
 )
-from repro.link.transport import LinkTransport
+from repro.link.transport import DebugPortTransport
 from repro.obs import NULL_OBS
 
 #: Granularity of the host-side dirty log (bytes).  Small enough that a
@@ -102,13 +106,11 @@ class _Batch:
 
 
 class DebugLink:
-    """High-level client over one :class:`LinkTransport`."""
+    """High-level client over one :class:`DebugPortTransport`."""
 
-    def __init__(self, transport: LinkTransport, obs=NULL_OBS,
-                 cache_enabled: bool = True):
+    def __init__(self, transport: DebugPortTransport, obs=NULL_OBS):
         self.transport = transport
         self.obs = obs
-        self.cache_enabled = cache_enabled
         self._batch: Optional[_Batch] = None
         self._cache: Dict[Tuple[int, int], bytes] = {}
         self._drain_gen: Dict[int, int] = {}
@@ -190,7 +192,7 @@ class DebugLink:
             del self._cache[key]
 
     def _cache_lookup(self, addr: int, length: int) -> Optional[bytes]:
-        if not self.cache_enabled or self._batch is not None:
+        if self._batch is not None:
             return None
         data = self._cache.get((addr, length))
         if data is not None:
@@ -205,11 +207,9 @@ class DebugLink:
         """Post-transaction cache bookkeeping, in execution order."""
         op = cmd.op
         if op == OP_READ_MEM:
-            if self.cache_enabled:
-                self._cache[(cmd.addr, cmd.length)] = reply.data
+            self._cache[(cmd.addr, cmd.length)] = reply.data
         elif op == OP_READ_U32:
-            if self.cache_enabled:
-                self._cache[(cmd.addr, 4)] = encode_u32(reply.value)
+            self._cache[(cmd.addr, 4)] = encode_u32(reply.value)
         elif op == OP_WRITE_MEM:
             self._invalidate_range(cmd.addr, len(cmd.data))
             self._dirty_pages.update(pages_for_range(cmd.addr,
@@ -282,7 +282,8 @@ class DebugLink:
 
     # -- memory --------------------------------------------------------------
 
-    def read_mem(self, addr: int, length: int):
+    def read_memory(self, addr: int, length: int):
+        """``-data-read-memory-bytes``."""
         cached = self._cache_lookup(addr, length)
         if cached is not None:
             return cached
@@ -290,12 +291,14 @@ class DebugLink:
                                     length=length),
                             lambda reply: reply.data)
 
-    def write_mem(self, addr: int, data: bytes):
+    def write_memory(self, addr: int, data: bytes):
+        """``-data-write-memory-bytes``."""
         return self._submit(Command(op=OP_WRITE_MEM, addr=addr,
                                     data=bytes(data)),
                             lambda reply: None)
 
     def read_u32(self, addr: int):
+        """Read one little-endian word of target memory."""
         cached = self._cache_lookup(addr, 4)
         if cached is not None:
             return decode_u32(cached)
@@ -303,48 +306,58 @@ class DebugLink:
                             lambda reply: reply.value)
 
     def write_u32(self, addr: int, value: int):
+        """Write one little-endian word of target memory."""
         return self._submit(Command(op=OP_WRITE_U32, addr=addr,
                                     value=value),
                             lambda reply: None)
 
     # -- run control ---------------------------------------------------------
 
-    def resume(self):
+    def exec_continue(self):
+        """``-exec-continue``: run to the next stop; the HaltEvent."""
         return self._submit(Command(op=OP_RESUME),
                             lambda reply: reply.halt)
 
     def read_pc(self):
+        """Sample the program counter (``-data-list-register-values pc``)."""
         return self._submit(Command(op=OP_READ_PC),
                             lambda reply: reply.value)
 
-    def set_breakpoint(self, addr: int, label: str = ""):
+    def break_insert(self, addr: int, label: str = ""):
+        """``-break-insert``: arm a hardware breakpoint; the address."""
         return self._submit(Command(op=OP_SET_BP, addr=addr, label=label),
                             lambda reply: reply.value)
 
-    def clear_breakpoint(self, addr: int):
+    def break_delete(self, addr: int):
+        """``-break-delete``."""
         return self._submit(Command(op=OP_CLEAR_BP, addr=addr),
                             lambda reply: None)
 
-    def clear_all_breakpoints(self):
+    def break_delete_all(self):
+        """Remove every breakpoint."""
         return self._submit(Command(op=OP_CLEAR_ALL_BP),
                             lambda reply: None)
 
     def backtrace(self):
+        """``-stack-list-frames``: unwind the target stack."""
         return self._submit(Command(op=OP_BACKTRACE),
                             lambda reply: list(reply.frames))
 
     # -- flash / reset / UART ------------------------------------------------
 
     def flash_write(self, addr: int, data: bytes, verify: bool = True):
+        """``flash write_image``: erase, program, optionally verify."""
         return self._submit(Command(op=OP_FLASH_WRITE, addr=addr,
                                     data=bytes(data), verify=verify),
                             lambda reply: None)
 
-    def reset(self):
+    def reset_run(self):
+        """``monitor reset run``: warm reset; True when the target booted."""
         return self._submit(Command(op=OP_RESET),
                             lambda reply: bool(reply.value))
 
     def uart_read(self, cursor: int):
+        """UART lines past ``cursor``: ``(lines, new cursor)``."""
         return self._submit(Command(op=OP_UART_READ, value=cursor),
                             lambda reply: (list(reply.lines), reply.cursor))
 

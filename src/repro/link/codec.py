@@ -13,9 +13,8 @@ Replies stay host-side dataclasses (the virtual probe hands back Python
 objects), but every reply knows its wire size so byte accounting matches
 what a real link would move.
 
-This module is also the single home of the word-size/endianness helpers
-that used to be re-implemented ad hoc around the DDI layer; they are
-re-exported from :mod:`repro.ddi` for backward compatibility.
+This module is also the single home of the word-size/endianness
+helpers.
 """
 
 from __future__ import annotations
@@ -67,7 +66,8 @@ OP_RESET = 12
 OP_UART_READ = 13
 OP_COV_DRAIN = 14
 
-#: opcode -> the DDI command name the obs layer has always used.
+#: opcode -> its GDB/OpenOCD command name: the
+#: :class:`~repro.link.DebugLink` method and the ``ddi.cmd.*`` metric.
 OP_NAMES = {
     OP_READ_MEM: "read_memory",
     OP_WRITE_MEM: "write_memory",

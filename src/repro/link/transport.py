@@ -1,18 +1,16 @@
 """The link transport: one choke point for every debug-port exchange.
 
-A :class:`LinkTransport` executes framed command batches as single link
-*transactions*.  Everything above it (GDB client, OpenOCD shim, the
-engine's drain paths) speaks :class:`~repro.link.codec.Command`; all
-latency/byte instrumentation and all chaos fault hooks live here, so
-every backend gets them for free and none re-implements them.
+:class:`DebugPortTransport` executes framed command batches as single
+link *transactions* against a :class:`repro.hw.debug_port.DebugPort`.
+Everything above it (the session, the engine's drain paths, the
+baselines) speaks :class:`~repro.link.codec.Command` through
+:class:`~repro.link.DebugLink`; all latency/byte instrumentation and
+all chaos fault hooks live here, so no caller re-implements them.
 
-:class:`DebugPortTransport` is the production implementation: it drives a
-:class:`repro.hw.debug_port.DebugPort` one primitive at a time (a real
-smart probe would do the same on the far side of USB), which keeps
-virtual-cycle accounting and fault-injection opportunities *identical*
-between a batch of N commands and N single-command transactions — only
-the transaction count differs.  That invariant is what makes batched and
-unbatched fuzzing runs produce byte-identical coverage and crash results.
+The port is driven one primitive at a time (a real smart probe would do
+the same on the far side of USB), so virtual-cycle accounting and
+fault-injection opportunities depend only on the commands sent, never
+on how they were grouped into transactions.
 """
 
 from __future__ import annotations
@@ -62,15 +60,17 @@ _RECORDED_OPS = frozenset({
 })
 
 
-class LinkTransport:
-    """Protocol: execute command batches as single link transactions.
+class DebugPortTransport:
+    """Execute link transactions against one raw debug port.
 
-    Implementations must keep ``transactions`` / ``bytes_out`` /
-    ``bytes_in`` running totals and may expose a ``chaos`` attribute for
-    fault-plan hooks (see :mod:`repro.chaos.link`).
+    Keeps ``transactions`` / ``bytes_out`` / ``bytes_in`` running totals;
+    ``chaos`` holds an installed fault plan's hooks (see
+    :mod:`repro.chaos.link`), or None on a clean link.
     """
 
-    def __init__(self):
+    def __init__(self, port, obs=NULL_OBS):
+        self.port = port
+        self.obs = obs
         self.transactions = 0
         self.bytes_out = 0
         self.bytes_in = 0
@@ -80,18 +80,6 @@ class LinkTransport:
     def bytes_moved(self) -> int:
         """Total frame bytes across the link, both directions."""
         return self.bytes_out + self.bytes_in
-
-    def transact(self, commands: Sequence[Command]) -> List[Reply]:
-        raise NotImplementedError
-
-
-class DebugPortTransport(LinkTransport):
-    """Execute link transactions against one raw debug port."""
-
-    def __init__(self, port, obs=NULL_OBS):
-        super().__init__()
-        self.port = port
-        self.obs = obs
 
     # -- instrumentation -----------------------------------------------------
 
@@ -115,8 +103,8 @@ class DebugPortTransport(LinkTransport):
 
     def _chaos_core(self, op: str) -> None:
         """Per-primitive-step consult inside composite commands, so a
-        batched drain sees the same fault opportunities its unbatched
-        equivalent would."""
+        one-command drain sees the same fault opportunities as the
+        separate word read, memory read and word write it stands for."""
         if self.chaos is not None:
             self.chaos.on_core_op(op)
 
@@ -273,7 +261,8 @@ class DebugPortTransport(LinkTransport):
         ``cmd.last_gen`` is what the host saw last drain: when they still
         match, the buffer content has not changed and the reply is a
         single word instead of ``4 + count*4`` bytes.  Each primitive
-        step consults chaos exactly as its unbatched counterpart did.
+        step consults chaos exactly as the equivalent single command
+        would.
         """
         port = self.port
         gen = 0

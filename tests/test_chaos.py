@@ -115,29 +115,29 @@ class TestChaosLinkHooks:
     def test_probe_drop_raises_and_latches_until_reset(self):
         session, _ = chaos_session(probe_drop_rate=1.0)
         with pytest.raises(DebugLinkTimeout, match="probe dropped"):
-            session.read_pc()
+            session.link.read_pc()
         assert session.board.link_lost
         # Latched: even ops the plan would spare now time out.
         uninstall_chaos(session)
         with pytest.raises(DebugLinkTimeout):
-            session.gdb.read_u32(session.board.ram.base)
+            session.link.read_u32(session.board.ram.base)
         session.board.reset()
         assert not session.board.link_lost
-        session.read_pc()  # link is back
+        session.link.read_pc()  # link is back
 
     def test_transient_timeout_does_not_latch(self):
         session, _ = chaos_session(link_timeout_rate=1.0)
         with pytest.raises(DebugLinkTimeout, match="transient"):
-            session.read_pc()
+            session.link.read_pc()
         assert not session.board.link_lost
         uninstall_chaos(session)
-        session.read_pc()  # nothing latched
+        session.link.read_pc()  # nothing latched
 
     def test_read_bitflip_is_off_by_one_bit(self):
         session, _ = chaos_session(read_bitflip_rate=1.0)
         address = session.build.ram_layout.input_buf_addr
         truth = session.board.memory.read(address, 32)
-        seen = session.gdb.read_memory(address, 32)
+        seen = session.link.read_memory(address, 32)
         delta = [a ^ b for a, b in zip(truth, seen) if a != b]
         assert len(delta) == 1 and bin(delta[0]).count("1") == 1
 
@@ -170,7 +170,7 @@ class TestChaosLinkHooks:
         uninstall_chaos(session)
         assert session.link.transport.chaos is None
         assert session.board.chaos is None
-        session.read_pc()
+        session.link.read_pc()
 
 
 # -- engine-level chaos matrix ------------------------------------------------
@@ -180,11 +180,11 @@ class GuardedEngine(EofEngine):
     """EofEngine that proves the liveness invariant on every test case:
     programs only ever run on a board whose last (re)boot succeeded."""
 
-    def _drive(self, program, first_halt=None):
+    def _drive(self, program, first_halt):
         board = self.session.board
         assert not board.boot_failed, "executing on a board that never booted"
         assert board.runtime is not None
-        super()._drive(program, first_halt=first_halt)
+        super()._drive(program, first_halt)
 
 
 def make_chaos_engine(profile, seed=2, budget=300_000, obs=None,

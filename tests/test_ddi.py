@@ -1,10 +1,8 @@
-"""Host-side debug interface: OpenOCD stand-in, GDB client, sessions."""
+"""Host-side debug interface: the debug session and its link commands."""
 
 import pytest
 
-from repro.ddi.gdb import GdbClient
-from repro.ddi.openocd import OpenOcd
-from repro.ddi.session import open_session
+from repro.ddi.session import DebugSession, open_session
 from repro.errors import DebugLinkError, DebugLinkTimeout
 from repro.hw.boards import make_board
 
@@ -15,30 +13,25 @@ def fresh_session(os_name="freertos", board="stm32f407"):
     return open_session(cached_build(os_name, board))
 
 
-class TestOpenOcd:
+class TestProbe:
     def test_connect_requires_power(self):
         board = make_board("stm32f407")
-        probe = OpenOcd(board)
+        session = DebugSession(board, cached_build("freertos"))
         with pytest.raises(DebugLinkTimeout):
-            probe.connect()
-
-    def test_wrong_interface_rejected(self):
-        board = make_board("stm32f407")  # an SWD part
-        with pytest.raises(DebugLinkError):
-            OpenOcd(board, interface="jtag")
+            session.port.connect()
 
     def test_flash_write_verifies(self):
         session = fresh_session()
         target = session.board.flash.base + 0x8000
-        session.openocd.flash_write(target, b"\x01\x02\x03\x04")
+        session.link.flash_write(target, b"\x01\x02\x03\x04")
         assert session.board.flash.read(target, 4) == b"\x01\x02\x03\x04"
 
     def test_operations_require_session(self):
         board = make_board("stm32f407")
         board.power_on()
-        probe = OpenOcd(board)
+        session = DebugSession(board, cached_build("freertos"))
         with pytest.raises(DebugLinkTimeout):
-            probe.drain_uart()
+            session.drain_uart()
 
     def test_uart_drain_is_incremental(self):
         session = fresh_session()
@@ -47,45 +40,34 @@ class TestOpenOcd:
         assert session.drain_uart() == []
 
 
-class TestGdbClient:
-    def test_symbol_resolution(self):
-        session = fresh_session()
-        address = session.gdb.resolve("executor_main")
-        assert address == session.build.address_of("executor_main")
-        assert session.gdb.resolve(address) == address
-
+class TestLinkCommands:
     def test_unknown_symbol_rejected(self):
         session = fresh_session()
         with pytest.raises(DebugLinkError):
-            session.gdb.resolve("not_a_symbol")
-
-    def test_symbolize_reverse(self):
-        session = fresh_session()
-        address = session.build.address_of("read_prog")
-        assert session.gdb.symbolize(address) == "read_prog"
-        assert session.gdb.symbolize(0xDEADBEEF).startswith("0x")
+            session.link.break_insert(session.build.address_of("not_a_symbol"))
 
     def test_breakpoint_roundtrip(self):
         session = fresh_session()
-        session.gdb.break_insert("executor_main")
+        address = session.build.address_of("executor_main")
+        session.link.break_insert(address)
         assert session.board.machine.breakpoint_at(
             session.build.address_of("executor_main"))
-        session.gdb.break_delete("executor_main")
+        session.link.break_delete(address)
         assert not session.board.machine.breakpoint_at(
             session.build.address_of("executor_main"))
 
     def test_memory_rw(self):
         session = fresh_session()
         addr = session.build.ram_layout.input_buf_addr
-        session.gdb.write_memory(addr, b"probe")
-        assert session.gdb.read_memory(addr, 5) == b"probe"
-        session.gdb.write_u32(addr, 0xAABBCCDD)
-        assert session.gdb.read_u32(addr) == 0xAABBCCDD
+        session.link.write_memory(addr, b"probe")
+        assert session.link.read_memory(addr, 5) == b"probe"
+        session.link.write_u32(addr, 0xAABBCCDD)
+        assert session.link.read_u32(addr) == 0xAABBCCDD
 
     def test_read_pc_tracks_halts(self):
         session = fresh_session()
-        event = session.exec_continue()
-        assert session.gdb.read_pc() == event.pc
+        event = session.link.exec_continue()
+        assert session.link.read_pc() == event.pc
 
 
 class TestSessionRestore:
@@ -102,8 +84,3 @@ class TestSessionRestore:
         session.flash_header()
         session.reboot()
         assert not session.board.boot_failed
-
-    def test_counters_track_operations(self):
-        session = fresh_session()
-        session.reboot()
-        assert session.openocd.reset_ops == 1

@@ -1,5 +1,5 @@
 """Fuzzer internals: generator, mutator, corpus, feedback, monitors,
-watchdog, restoration."""
+watchdog, restoration, codec failures in the engine loop."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +12,8 @@ from repro.agent.protocol import (
     serialize_program,
 )
 from repro.ddi.session import open_session
+from repro.errors import ProtocolError
+from repro.fuzz import engine as engine_module
 from repro.fuzz.corpus import Corpus
 from repro.fuzz.crash import CrashDb, CrashReport, KIND_ASSERT, KIND_PANIC
 from repro.fuzz.feedback import CoverageMap
@@ -266,8 +268,8 @@ class TestWatchdogAndRestore:
     def test_watchdog_passes_on_moving_pc(self):
         session = open_session(cached_build("freertos"))
         watchdog = LivenessWatchdog(session)
-        assert watchdog.check()          # seeds history
-        session.exec_continue()          # PC moves to read_prog
+        assert watchdog.check()       # seeds history
+        session.link.exec_continue()  # PC moves to read_prog
         assert watchdog.check()
 
     def test_watchdog_fails_on_parked_pc(self):
@@ -303,3 +305,37 @@ class TestWatchdogAndRestore:
         restoration = StateRestoration(session)
         names = {part.name for part in restoration.partition_specs}
         assert names == {"boot", "kernel", "appfs"}
+
+
+class TestCodecFailuresInTheLoop:
+    """Only a ProtocolError from ``serialize_program`` is a rejected
+    program; any other exception is a host bug and must surface."""
+
+    def start_engine(self):
+        build = cached_build("pokos", "qemu-virt")
+        engine = engine_module.EofEngine(
+            build, generate_validated_specs(build),
+            engine_module.EngineOptions(seed=1, budget_cycles=150_000,
+                                        max_iterations=5))
+        engine.start()
+        return engine
+
+    def test_protocol_error_counts_as_rejected(self, monkeypatch):
+        engine = self.start_engine()
+
+        def unencodable(program):
+            raise ProtocolError("too many calls")
+
+        monkeypatch.setattr(engine_module, "serialize_program", unencodable)
+        engine.run_until(engine.options.budget_cycles)
+        assert engine.stats.rejected_programs == 5
+
+    def test_other_errors_propagate(self, monkeypatch):
+        engine = self.start_engine()
+
+        def broken(program):
+            raise RuntimeError("host-side bug")
+
+        monkeypatch.setattr(engine_module, "serialize_program", broken)
+        with pytest.raises(RuntimeError, match="host-side bug"):
+            engine.run_until(engine.options.budget_cycles)

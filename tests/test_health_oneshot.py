@@ -34,8 +34,8 @@ class TestHealthCheckers:
         layout = session.build.ram_layout
         # Smash the guard word over the debug link: no panic, no log
         # line — exactly what the crash monitors cannot see.
-        session.gdb.write_u32(layout.kernel_heap_base + SMEM_NAME_FIELD,
-                              0xBAD0BAD0)
+        session.link.write_u32(layout.kernel_heap_base + SMEM_NAME_FIELD,
+                               0xBAD0BAD0)
         defect = probe.probe()
         assert defect is not None and "guard" in defect
         assert probe.defects_found == 1
@@ -44,7 +44,7 @@ class TestHealthCheckers:
         session = open_session(cached_build("rt-thread"))
         probe = HeapHealthProbe(session, every_n_programs=1)
         base = session.build.ram_layout.kernel_heap_base
-        session.gdb.write_u32(base + 24, 0xFFFF0000)  # first block header
+        session.link.write_u32(base + 24, 0xFFFF0000)  # first block header
         assert probe.probe() is not None
 
     def test_fresh_freertos_heap_is_healthy(self):

@@ -1,12 +1,14 @@
 """Property-based invariants of the link layer (hypothesis).
 
-Three contracts the rest of the stack silently leans on:
+Four contracts the rest of the stack silently leans on:
 
 * the framing codec round-trips every representable command batch,
 * replies of a batched transaction line up positionally with their
   commands, whatever the batch shape,
 * the read-through cache never serves stale bytes across an
-  invalidation event (write, resume, reset, flash).
+  invalidation event (write, resume, reset, flash),
+* a delta coverage drain returns exactly the records target RAM holds
+  (none when it skips) and leaves the buffer's count word at 0.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from conftest import cached_build  # noqa: E402
+from repro.ddi.session import open_session  # noqa: E402
 from repro.hw.boards import make_board  # noqa: E402
 from repro.hw.debug_port import DebugPort  # noqa: E402
+from repro.instrument.sancov import decode_coverage_buffer  # noqa: E402
 from repro.link import (  # noqa: E402
     Command,
     DebugLink,
@@ -148,13 +153,13 @@ def test_cache_never_serves_stale_bytes(ops):
         if op[0] == "write":
             link.write_u32(base + op[1] * 4, op[2])
         elif op[0] == "write_mem":
-            link.write_mem(base + op[1] * 4, op[2])
+            link.write_memory(base + op[1] * 4, op[2])
         elif op[0] == "read":
             assert link.read_u32(base + op[1] * 4) == \
                 board.memory.read_u32(base + op[1] * 4)
         else:
             length = 16
-            assert link.read_mem(base + op[1] * 4, length) == \
+            assert link.read_memory(base + op[1] * 4, length) == \
                 board.memory.read(base + op[1] * 4, length)
 
 
@@ -168,5 +173,47 @@ def test_cache_invalidation_on_direct_target_mutation(slot, before, after):
     link.write_u32(addr, before)
     assert link.read_u32(addr) == before  # populates the cache
     board.memory.write_u32(addr, after)   # target-side mutation
-    link.invalidate_cache()               # what resume()/reset() trigger
+    link.invalidate_cache()               # what exec_continue()/reset_run() trigger
     assert link.read_u32(addr) == after
+
+
+# -- delta coverage drain matches target RAM ------------------------------------
+
+
+# One round = the edge sites the tracer records while the core "runs",
+# then the host action that ends the round.  Rounds (not free operation
+# lists) keep every example a realistic hit/drain cadence, which is what
+# exposes a generation word that stops moving after the first record.
+drain_rounds = st.lists(
+    st.tuples(
+        st.lists(st.integers(min_value=1, max_value=40), max_size=12),
+        st.sampled_from(["cov_drain", "reset_run", "forget_drain_state"])),
+    min_size=1, max_size=8)
+
+
+@given(drain_rounds)
+@settings(max_examples=60, deadline=None)
+def test_delta_drain_returns_exactly_what_target_ram_holds(rounds):
+    session = open_session(cached_build("pokos", "qemu-virt"))
+    link = session.link
+    memory = session.board.memory
+    layout = session.build.ram_layout
+    capacity = (layout.cov_buf_size - 4) // 4
+    for sites, action in rounds:
+        tracer = session.board.runtime.kernel.ctx.tracer
+        for site in sites:
+            tracer.hit(site)
+        if action == "reset_run":
+            link.reset_run()
+            continue
+        if action == "forget_drain_state":
+            link.forget_drain_state()
+            continue
+        count = memory.read_u32(layout.cov_buf_addr)
+        held = decode_coverage_buffer(
+            memory.read(layout.cov_buf_addr, 4 + count * 4))
+        raw = link.cov_drain(layout.cov_buf_addr, capacity,
+                             gen_addr=layout.cov_gen_addr)
+        drained = [] if raw is None else decode_coverage_buffer(raw)
+        assert drained == held
+        assert memory.read_u32(layout.cov_buf_addr) == 0

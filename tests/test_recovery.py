@@ -350,7 +350,7 @@ class TestReattach:
         assert session.reattach()
         assert not session.board.link_lost
         assert session.board.boot_count == boots_before + 1
-        session.read_pc()  # the new probe session is live
+        session.link.read_pc()  # the new probe session is live
 
     def test_reattach_reports_failed_boot(self):
         session = fresh_session()

@@ -106,8 +106,8 @@ class TestDirtyPageLog:
         link = session.link
         link.clear_dirty()
         base = session.board.ram.base
-        link.write_mem(base, b"\xaa" * 64)
-        link.write_mem(base + 32, b"\xbb" * DIRTY_PAGE_SIZE)
+        link.write_memory(base, b"\xaa" * 64)
+        link.write_memory(base + 32, b"\xbb" * DIRTY_PAGE_SIZE)
         expected = set(pages_for_range(base, 64)) \
             | set(pages_for_range(base + 32, DIRTY_PAGE_SIZE))
         assert link.dirty_pages() == expected
@@ -145,7 +145,7 @@ class TestSnapshotManager:
         # Scribble over the kernel heap through the link, like a
         # hostile program would.
         layout = session.build.ram_layout
-        session.link.write_mem(layout.kernel_heap_base,
+        session.link.write_memory(layout.kernel_heap_base,
                                b"\x5a" * 4096)
         assert session.board.ram.snapshot() != image
         assert manager.restore()

@@ -55,7 +55,7 @@ def apply_writes(session, write_list):
     touched = set()
     for offset, data in write_list:
         addr = ram.base + (offset % (ram.size - len(data)))
-        session.link.write_mem(addr, data)
+        session.link.write_memory(addr, data)
         touched.update(pages_for_range(addr, len(data)))
     return touched
 
