@@ -13,10 +13,9 @@ Two gates for the campaign backends:
   more than the loop wins at this budget (cutting that is a fork-server
   job, not a transport one).
 * **Sync cost is O(delta)** — pushing a fixed-size epoch delta into the
-  sharded shared corpus must not get more expensive as the *resident*
-  corpus grows: dedup is a per-shard hash probe and admission touches
-  only the shards the delta lands in.  The frame that carries such a
-  delta (what the process backend ships) stays small.
+  shared corpus must not get more expensive as the *resident* corpus
+  grows: dedup is one hash probe per seed.  The frame that carries
+  such a delta (what the process backend ships) stays small.
 
 Results land in ``bench_results/farm_scaling.txt``.
 """

@@ -283,8 +283,6 @@ def make_campaign(target: TargetConfig, workers: int,
                   total_budget_cycles: int, campaign_seed: int = 1,
                   sync_interval: int = 400_000, import_cap: int = 2,
                   import_min_novelty: int = 2,
-                  replay_imports: bool = True,
-                  share_frontier: bool = False,
                   obs: Optional[Observability] = None,
                   worker_obs: Optional[Callable[[int],
                                                 Observability]] = None,
@@ -294,8 +292,7 @@ def make_campaign(target: TargetConfig, workers: int,
                   warm_start_dir: Optional[str] = None,
                   checkpoint_every: int = 4,
                   snapshots: bool = True,
-                  backend: str = "thread",
-                  corpus_shards: Optional[int] = None):
+                  backend: str = "thread"):
     """Build (but do not run) one multi-board campaign orchestrator.
 
     Splitting construction from :meth:`~repro.farm.CampaignOrchestrator.run`
@@ -312,7 +309,6 @@ def make_campaign(target: TargetConfig, workers: int,
     from repro.farm import (CampaignOptions, CampaignOrchestrator,
                             WorkerSpec)
     from repro.farm.orchestrator import campaign_config
-    from repro.farm.state import DEFAULT_SHARDS
 
     def factory(index: int, seed: int, budget_cycles: int) -> EofEngine:
         # Each worker engine constructs its own SnapshotManager against
@@ -330,11 +326,7 @@ def make_campaign(target: TargetConfig, workers: int,
         total_budget_cycles=total_budget_cycles,
         import_cap=import_cap,
         import_min_novelty=import_min_novelty,
-        replay_imports=replay_imports,
-        share_frontier=share_frontier,
-        backend=backend,
-        corpus_shards=(DEFAULT_SHARDS if corpus_shards is None
-                       else corpus_shards))
+        backend=backend)
     worker_spec = None
     if backend != "thread":
         worker_spec = WorkerSpec(target=target.name,

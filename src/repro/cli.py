@@ -242,8 +242,7 @@ def _cmd_campaign(args) -> int:
                 resume=args.resume, warm_start_dir=args.warm_start,
                 checkpoint_every=args.checkpoint_every,
                 snapshots=not args.no_snapshot,
-                backend=args.backend,
-                corpus_shards=args.shards)
+                backend=args.backend)
         except StoreError as exc:
             print(f"campaign store: {exc}", file=sys.stderr)
             return 1
@@ -509,11 +508,6 @@ def main(argv=None) -> int:
                                  "threads (default, the determinism "
                                  "reference) or one child process per "
                                  "board; both give the same campaign")
-    campaign_p.add_argument("--shards", type=int, default=None,
-                            metavar="N",
-                            help="shared-corpus shard count "
-                                 "(default: 8; any count is "
-                                 "observationally equivalent)")
     campaign_p.add_argument("--trace-dir", default=None,
                             help="write campaign artifacts plus "
                                  "worker-<i>/ trace subdirectories "

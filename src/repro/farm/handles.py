@@ -25,8 +25,8 @@ The process handle mirrors the worker's offered/delivered digest sets
 and edge frontier on the coordinator, updating them from each epoch's
 *delta*.  At a barrier the mirror equals the live engine state the
 in-thread backend reads directly: pushes always precede pulls within a
-barrier, imports injected via replay only execute in the *next* epoch
-(so they arrive in the next delta), and a DONE worker's later deltas
+barrier, delivered imports only execute in the *next* epoch (so they
+arrive in the next delta), and a DONE worker's later deltas
 are empty.  That equality is what makes the process backend produce
 the same merged frontier, corpus digests and crash signatures as the
 in-thread reference — with O(delta) traffic.
@@ -155,13 +155,9 @@ class WorkerCore:
         return (self._offered | self._delivered
                 | set(self.engine.corpus.digests()))
 
-    def deliver(self, entries: List[CorpusEntry], replay: bool) -> None:
+    def deliver(self, entries: List[CorpusEntry]) -> None:
         self._delivered.update(entry.digest for entry in entries)
-        if replay:
-            self.engine.inject_programs(
-                [entry.program for entry in entries])
-        else:
-            self.engine.import_entries(entries)
+        self.engine.inject_programs([entry.program for entry in entries])
 
     def summary(self) -> Dict[str, int]:
         stats = self.engine.stats
@@ -181,8 +177,6 @@ class WorkerCore:
 
 class WorkerHandle:
     """One worker as the orchestrator sees it, wherever it runs."""
-
-    backend = "thread"
 
     def __init__(self, index: int):
         self.index = index
@@ -209,10 +203,7 @@ class WorkerHandle:
     def local_edges(self) -> Set[int]:
         raise NotImplementedError
 
-    def deliver(self, entries: List[CorpusEntry], replay: bool) -> None:
-        raise NotImplementedError
-
-    def absorb_frontier(self, edges: Set[int]) -> None:
+    def deliver(self, entries: List[CorpusEntry]) -> None:
         raise NotImplementedError
 
     def summary(self) -> Dict[str, int]:
@@ -238,8 +229,6 @@ class InThreadHandle(WorkerHandle):
     :meth:`WorkerCore.run`, which only runs the engine; the delta is
     taken in :meth:`join_epoch` on the coordinator, at the barrier.
     """
-
-    backend = "thread"
 
     #: Concurrency contract (EOF401): coordinator bookkeeping, touched
     #: only between epochs while the pool is joined — never from worker
@@ -279,11 +268,8 @@ class InThreadHandle(WorkerHandle):
     def local_edges(self) -> Set[int]:
         return self.engine.coverage.edges
 
-    def deliver(self, entries: List[CorpusEntry], replay: bool) -> None:
-        self.core.deliver(entries, replay)
-
-    def absorb_frontier(self, edges: Set[int]) -> None:
-        self.engine.absorb_frontier(edges)
+    def deliver(self, entries: List[CorpusEntry]) -> None:
+        self.core.deliver(entries)
 
     def summary(self) -> Dict[str, int]:
         return self.core.summary()
@@ -398,19 +384,15 @@ class _RemoteHandle(WorkerHandle):
     def local_edges(self) -> Set[int]:
         return self._edges
 
-    def deliver(self, entries: List[CorpusEntry], replay: bool) -> None:
+    def deliver(self, entries: List[CorpusEntry]) -> None:
         records = []
         for entry in entries:
             record = entry_to_record(entry)
             if record is not None:
                 records.append(record)
         self._known.update(entry.digest for entry in entries)
-        self._send("deliver", {"entries": records, "replay": replay})
+        self._send("deliver", {"entries": records})
         self._recv("delivered")
-
-    def absorb_frontier(self, edges: Set[int]) -> None:
-        self._send("frontier", {"edges": sorted(edges)})
-        self._recv("frontier_ok")
 
     def summary(self) -> Dict[str, int]:
         return dict(self._summary)
@@ -489,8 +471,6 @@ def _worker_env() -> Dict[str, str]:
 class ProcessHandle(_RemoteHandle):
     """One worker core in a child process, frames over stdin/stdout
     pipes."""
-
-    backend = "process"
 
     def __init__(self, index: int, spec: WorkerSpec):
         super().__init__(index, spec)

@@ -56,9 +56,9 @@ from repro.farm.handles import (
     build_worker_handles,
     estimate_outcome_bytes,
 )
-from repro.farm.state import DEFAULT_SHARDS, CampaignState, TriagedCrash
+from repro.farm.state import CampaignState, TriagedCrash
 from repro.farm.wire import WorkerSpec
-from repro.fuzz.corpus import MAX_CORPUS, CorpusEntry
+from repro.fuzz.corpus import CorpusEntry
 from repro.fuzz.crash import CrashReport
 from repro.fuzz.engine import EofEngine, FuzzResult
 from repro.fuzz.stats import CampaignStats
@@ -125,29 +125,10 @@ class CampaignOptions:
     #: Minimum new-to-local edges a seed must carry to be worth
     #: importing onto this worker's board.
     import_min_novelty: int = 2
-    #: Replay imported seeds on the receiving board (the default):
-    #: re-execution realises the foreign path locally, admits the seed
-    #: with *local* coverage credit, and hands the mutation scheduler
-    #: real material.  Off, imports merge straight into the local
-    #: corpus without spending cycles — cheaper, but the scheduler then
-    #: weights them on second-hand numbers.
-    replay_imports: bool = True
-    #: Fold the global frontier into each worker's notion of "already
-    #: seen" at sync, so local reward skips edges other boards covered.
-    #: Off by default: suppressing the local discovery-rate signal this
-    #: way measurably slows the merged frontier (workers de-prioritise
-    #: regions that are productive *for them*).
-    share_frontier: bool = False
-    shared_corpus_max: int = MAX_CORPUS
-    name: str = "eof-farm"
     #: Where worker engines execute: ``thread`` (in-process, the
     #: determinism reference) or ``process`` (one child process per
     #: board, pipe frames).  Both backends replay the same campaign.
     backend: str = "thread"
-    #: Content-hash buckets of the shared corpus; push/pull contends
-    #: only on the shards a delta lands in.  Observationally
-    #: equivalent at any count (property-tested).
-    corpus_shards: int = DEFAULT_SHARDS
 
 
 @dataclass
@@ -179,16 +160,21 @@ def campaign_config(options: CampaignOptions,
     included: a resumed campaign is a deterministic replay, so any knob
     that changes what the workers do — not just the seed triple — must
     match for the replay to reproduce the interrupted run.  ``backend``
-    and ``corpus_shards`` are deliberately excluded: transport and
-    partitioning choices replay the same campaign (the backend
-    acceptance gate), so a store written under one backend may resume
-    under the other.
+    is deliberately excluded: both backends replay the same campaign
+    (the backend acceptance gate), so a store written under one backend
+    may resume under the other.
     """
     config: Dict[str, object] = asdict(options)
     config.pop("backend", None)
-    config.pop("corpus_shards", None)
     config["target"] = target
     return config
+
+
+def _epoch_row(summary: Dict[str, object]) -> Dict[str, object]:
+    """One barrier's row (the time-series and store epoch schema)."""
+    return {key: summary[key] for key in
+            ("edges", "lanes", "programs", "crashes", "shared",
+             "imported", "live")}
 
 
 #: Builds one worker engine: (worker_index, worker_seed, budget_cycles).
@@ -243,9 +229,7 @@ class CampaignOrchestrator:
         self._interrupted = False
         self._last_imported = 0
         self._last_delta_bytes = 0
-        self.state = CampaignState(
-            max_corpus=self.options.shared_corpus_max,
-            shards=self.options.corpus_shards)
+        self.state = CampaignState()
         if warm_entries:
             self.state.warm_start(warm_entries)
         per_worker = max(
@@ -295,12 +279,9 @@ class CampaignOrchestrator:
                               sync_interval=opts.sync_interval,
                               total_budget=opts.total_budget_cycles,
                               campaign_seed=opts.campaign_seed,
-                              backend=opts.backend,
-                              shards=self.state.shard_count)
+                              backend=opts.backend)
                 self.obs.gauge("farm.backend").set(
                     BACKENDS.index(opts.backend))
-                self.obs.gauge("farm.shards").set(
-                    self.state.shard_count)
             if opts.backend == "thread":
                 with ThreadPoolExecutor(max_workers=opts.workers) \
                         as pool:
@@ -408,27 +389,20 @@ class CampaignOrchestrator:
         """Merge worker outcomes into the campaign, in worker order,
         then deliver imports.  Runs on the coordinator thread only."""
         delta_bytes = 0
-        shards_touched: Set[int] = set()
         with self.obs.span("sync"):
             for index in sorted(outcomes):
-                self._push_outcome(index, epoch, outcomes[index],
-                                   shards_touched)
+                self._push_outcome(index, epoch, outcomes[index])
             imported_total = 0
             for index, handle in enumerate(self.handles):
                 if self._status[index] != _LIVE:
                     continue
                 imported_total += self._pull_worker(index, handle)
-                if self.options.share_frontier:
-                    handle.absorb_frontier(self.state.edges)
         if self.obs.enabled:
             self.obs.counter("farm.sync.epochs").inc()
             self.obs.gauge("farm.merged.edges").set(
                 len(self.state.edges))
             self.obs.gauge("farm.shared.corpus").set(
                 len(self.state.corpus))
-            if shards_touched:
-                self.obs.counter("farm.shard.touched").inc(
-                    len(shards_touched))
             histogram = self.obs.histogram("farm.sync.delta.bytes",
                                            buckets=DELTA_BYTE_BUCKETS)
             for index in sorted(outcomes):
@@ -453,25 +427,18 @@ class CampaignOrchestrator:
         if self.obs.sampler is not None or self.epoch_hook is not None:
             summary = self._epoch_summary(epoch, imported_total)
         if self.obs.sampler is not None:
-            row = {key: summary[key] for key in
-                   ("edges", "lanes", "programs", "crashes", "shared",
-                    "imported", "live")}
             self.obs.sampler.record(
-                epoch, self._epoch_target(epoch), row)
+                epoch, self._epoch_target(epoch), _epoch_row(summary))
         if self.epoch_hook is not None:
             self.epoch_hook(summary)
 
     def _push_outcome(self, index: int, epoch: int,
-                      outcome: EpochOutcome,
-                      shards_touched: Set[int]) -> None:
+                      outcome: EpochOutcome) -> None:
         """Merge one worker's epoch delta (seeds, edges, crashes)."""
         # Push before merging the frontier delta: admission tests each
         # seed's footprint against *other* workers' edges; merging this
         # worker's coverage first would reject its own discoveries.
         admitted = self.state.push(index, epoch, outcome.entries)
-        for entry in outcome.entries:
-            if entry.digest:
-                shards_touched.add(self.state.shard_index(entry.digest))
         self.state.merge_edges(outcome.edges)
         for report in outcome.crashes:
             if self.state.record_crash(index, epoch, report):
@@ -490,7 +457,7 @@ class CampaignOrchestrator:
             min_novelty=self.options.import_min_novelty)
         if not entries:
             return 0
-        handle.deliver(entries, self.options.replay_imports)
+        handle.deliver(entries)
         if self.obs.enabled:
             self.obs.counter("farm.seeds.imported").inc(len(entries))
         return len(entries)
@@ -505,17 +472,13 @@ class CampaignOrchestrator:
         return {
             "epoch": epoch,
             "edges": len(self.state.edges),
-            "merged_edges": len(self.state.edges),
             "lanes": [worker["edges"] for worker in workers],
             "programs": sum(w["execs"] for w in workers),
             "crashes": len(self.state.crashes),
             "shared": len(self.state.corpus),
-            "shared_corpus": len(self.state.corpus),
             "imported": imported,
             "live": sum(1 for status in self._status
                         if status == _LIVE),
-            "live_workers": sum(1 for status in self._status
-                                if status == _LIVE),
             "workers_total": len(self.handles),
             "workers": workers,
         }
@@ -540,11 +503,8 @@ class CampaignOrchestrator:
                 self._verify_resume(epoch)
                 return
             summary = self._epoch_summary(epoch, self._last_imported)
-            row = {key: summary[key] for key in
-                   ("edges", "lanes", "programs", "crashes", "shared",
-                    "imported", "live")}
             self.store.record_epoch(epoch, self._epoch_target(epoch),
-                                    self.state, row)
+                                    self.state, _epoch_row(summary))
 
     def _verify_resume(self, epoch: int) -> None:
         """The replay reached the stored barrier: check it reproduced

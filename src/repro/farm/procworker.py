@@ -9,8 +9,8 @@ the final stats, ``exit``.
 
 The child runs its board through the same
 :class:`~repro.farm.handles.WorkerCore` the in-thread backend uses, so
-an epoch result carries exactly the delta an in-thread barrier takes —
-the O(delta) half of the sharded-sync contract.  This module only
+an epoch result carries exactly the delta an in-thread barrier takes,
+so wire traffic scales with the delta, not the corpus.  This module only
 builds the engine from the spec and encodes the replies.
 ``sys.stdout`` is rebound to stderr before the engine boots so stray
 prints can never corrupt a frame.
@@ -68,12 +68,8 @@ def serve(io: PipeFrameIO) -> int:
         elif kind == "deliver":
             entries = [entry_from_record(dict(record))
                        for record in payload.get("entries", [])]
-            core.deliver(entries, bool(payload.get("replay", True)))
+            core.deliver(entries)
             io.send("delivered", {"count": len(entries)})
-        elif kind == "frontier":
-            core.engine.absorb_frontier(
-                {int(edge) for edge in payload.get("edges", [])})
-            io.send("frontier_ok", {})
         elif kind == "finish":
             result = core.engine.finish()
             io.send("finished", {

@@ -11,42 +11,21 @@ campaign (§5's parallel-board setup).  It holds
 * the **crash triage table** — crash reports deduplicated by signature
   across workers, with per-signature observation counts.
 
-Sharding
---------
-The shared corpus is partitioned into :class:`_StateShard` buckets by
-content-hash prefix, each under its own lock, so a push or pull only
-contends on the shards a worker's delta actually lands in — sync cost
-scales with the delta, not with the resident corpus.  Admission order,
-ranking, dedup and eviction are all defined *globally* (the
-``_order`` list under the frontier lock), so a sharded state is
-observationally identical to ``shards=1`` at any shard count — the
-property suite pins this equivalence.
-
-Lock order is strictly ``shard._lock -> _frontier_lock`` (never shard
-to shard, never frontier to shard), which the EOF402 pass checks.  The
-orchestrator still serialises sync in worker-index order; per-shard
-locking is what keeps the state safe when transports deliver results
-concurrently.
+The orchestrator merges into it on the coordinator thread, in
+worker-index order, at each epoch barrier.  The locks keep it safe for
+any other caller: the corpus and the frontier share one lock, because
+admission tests a seed against the frontier and then merges its
+footprint; the crash table has its own.
 """
 
 from __future__ import annotations
 
 import threading
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Set
 
-from repro.fuzz.corpus import Corpus, CorpusEntry, MAX_CORPUS, program_hash
+from repro.fuzz.corpus import Corpus, CorpusEntry, MAX_CORPUS
 from repro.fuzz.crash import CrashReport
-
-#: Default shard count: enough buckets that a realistic delta (a few
-#: seeds) touches a minority of locks, small enough that a tiny
-#: campaign does not pay for empty structures.
-DEFAULT_SHARDS = 8
-
-#: Per-shard corpora never self-evict; eviction is a global decision
-#: made by :meth:`CampaignState._enforce_cap` against admission order.
-_UNBOUNDED = 1 << 62
 
 
 @dataclass
@@ -68,120 +47,37 @@ class TriagedCrash:
     workers: Set[int] = field(default_factory=set)
 
 
-class _StateShard:
-    """One content-hash bucket of the shared corpus."""
-
-    #: Machine-checked concurrency contract (EOF401/EOF405): the shard
-    #: corpus may only be touched under the shard's own lock.
-    GUARDED_BY = {"corpus": "_lock"}
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.corpus = Corpus(max_entries=_UNBOUNDED)
-
-
-class _CorpusView:
-    """Read facade over the sharded corpus (global admission order).
-
-    Keeps the pre-sharding surface — ``len``, ``in``, ``.entries``,
-    ``.digests()``, ``.get`` — so the store, the CLI and the tests are
-    oblivious to the partitioning underneath.
-    """
-
-    def __init__(self, state: "CampaignState"):
-        self._state = state
-
-    def __len__(self) -> int:
-        with self._state._frontier_lock:
-            return len(self._state._order)
-
-    def __contains__(self, digest: str) -> bool:
-        return self.get(digest) is not None
-
-    @property
-    def entries(self) -> List[CorpusEntry]:
-        """Resident entries, global admission order (a snapshot)."""
-        with self._state._frontier_lock:
-            return list(self._state._order)
-
-    def digests(self) -> List[str]:
-        """Content hashes of the current entries, insertion order."""
-        with self._state._frontier_lock:
-            return [entry.digest for entry in self._state._order]
-
-    def get(self, digest: str):
-        if not digest:
-            return None
-        shard = self._state._shard_for(digest)
-        with shard._lock:
-            return shard.corpus.get(digest)
-
-
 class CampaignState:
     """Thread-safe shared state of one fuzzing campaign."""
 
     #: Machine-checked concurrency contract (EOF401/EOF405).  The
-    #: frontier lock guards everything ranked or ordered globally —
-    #: the edge set, admission order, provenance and the sync counters
-    #: — while each shard's corpus is guarded by that shard's own lock
-    #: and the crash table by its own, so pushes landing in different
-    #: shards only meet at the (cheap) frontier section.  Barrier
-    #: regions get no free pass here: ``pull``/``push`` run mid-epoch
+    #: frontier lock guards the edge set, the shared corpus, provenance
+    #: and the sync counters; the crash table has its own lock.  Barrier
+    #: regions get no free pass here: ``pull``/``push`` may run mid-epoch
     #: too.
     GUARDED_BY = {
         "edges": "_frontier_lock",
+        "corpus": "_frontier_lock",
         "provenance": "_frontier_lock",
-        "_order": "_frontier_lock",
         "seeds_shared": "_frontier_lock",
         "seeds_imported": "_frontier_lock",
         "seeds_warmed": "_frontier_lock",
         "crashes": "_crash_lock",
     }
 
-    def __init__(self, max_corpus: int = MAX_CORPUS,
-                 shards: int = DEFAULT_SHARDS) -> None:
-        if shards < 1:
-            raise ValueError("a campaign state needs at least one shard")
+    def __init__(self, max_corpus: int = MAX_CORPUS) -> None:
         self._frontier_lock = threading.Lock()
         self._crash_lock = threading.Lock()
-        self._shards = [_StateShard() for _ in range(shards)]
-        self.max_corpus = max_corpus
         self.edges: Set[int] = set()
-        #: Resident entries in global admission order — the dedup,
-        #: ranking and eviction domain (identical to the entry list of
-        #: an unsharded corpus).
-        self._order: List[CorpusEntry] = []
+        #: Resident seeds in admission order; past ``max_corpus`` the
+        #: corpus evicts the lowest-weight seed (earliest admitted on
+        #: ties).
+        self.corpus = Corpus(max_entries=max_corpus)
         self.provenance: Dict[str, SeedProvenance] = {}
         self.crashes: Dict[str, TriagedCrash] = {}
         self.seeds_shared = 0
         self.seeds_imported = 0
         self.seeds_warmed = 0
-        self.corpus = _CorpusView(self)
-
-    # -- sharding -----------------------------------------------------------
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
-    def shard_index(self, digest: str) -> int:
-        """Which bucket a content hash routes to (pure, stable)."""
-        if not digest:
-            return 0
-        try:
-            prefix = int(digest[:8], 16)
-        except ValueError:
-            # Hostile-test digests need not be hex; any deterministic
-            # mix keeps routing total.
-            prefix = zlib.crc32(digest.encode("utf-8", "replace"))
-        return prefix % len(self._shards)
-
-    def _shard_for(self, digest: str) -> _StateShard:
-        return self._shards[self.shard_index(digest)]
-
-    def _route(self, entry: CorpusEntry) -> _StateShard:
-        return self._shard_for(entry.digest or
-                               program_hash(entry.program))
 
     # -- coverage -----------------------------------------------------------
 
@@ -212,27 +108,20 @@ class CampaignState:
         the push order is the dedup order.
         """
         admitted = 0
-        for entry in entries:
-            shard = self._route(entry)
-            with shard._lock:
-                if entry.digest and entry.digest in shard.corpus:
+        with self._frontier_lock:
+            for entry in entries:
+                if entry.digest and entry.digest in self.corpus:
                     continue
-                with self._frontier_lock:
-                    novel = bool(entry.edge_footprint - self.edges)
-                    if not (novel or entry.crashed):
-                        continue
-                    grew = len(shard.corpus)
-                    resident = shard.corpus.import_entry(entry)
-                    if resident is None:
-                        continue
-                    if len(shard.corpus) > grew:
-                        self._order.append(resident)
-                    self.provenance[entry.digest] = SeedProvenance(
-                        worker=worker, epoch=epoch)
-                    self.edges.update(entry.edge_footprint)
-                    self.seeds_shared += 1
-                    admitted += 1
-            self._enforce_cap()
+                novel = bool(entry.edge_footprint - self.edges)
+                if not (novel or entry.crashed):
+                    continue
+                if self.corpus.import_entry(entry) is None:
+                    continue
+                self.provenance[entry.digest] = SeedProvenance(
+                    worker=worker, epoch=epoch)
+                self.edges.update(entry.edge_footprint)
+                self.seeds_shared += 1
+                admitted += 1
         return admitted
 
     def pull(self, worker: int, known_digests: Set[str],
@@ -251,7 +140,7 @@ class CampaignState:
         """
         with self._frontier_lock:
             ranked = []
-            for index, entry in enumerate(self._order):
+            for index, entry in enumerate(self.corpus.entries):
                 provenance = self.provenance.get(entry.digest)
                 if provenance is None or provenance.worker == worker:
                     continue
@@ -277,49 +166,15 @@ class CampaignState:
         deliver the warm seeds in the first place.
         """
         count = 0
-        for entry in entries:
-            shard = self._route(entry)
-            with shard._lock:
-                with self._frontier_lock:
-                    grew = len(shard.corpus)
-                    resident = shard.corpus.import_entry(entry)
-                    if resident is None:
-                        continue
-                    if len(shard.corpus) > grew:
-                        self._order.append(resident)
-                    self.provenance[entry.digest] = SeedProvenance(
-                        worker=-1, epoch=0)
-                    self.seeds_warmed += 1
-                    count += 1
-            self._enforce_cap()
+        with self._frontier_lock:
+            for entry in entries:
+                if self.corpus.import_entry(entry) is None:
+                    continue
+                self.provenance[entry.digest] = SeedProvenance(
+                    worker=-1, epoch=0)
+                self.seeds_warmed += 1
+                count += 1
         return count
-
-    def _enforce_cap(self) -> None:
-        """Apply the global eviction policy after an admission.
-
-        Identical victim selection to the unsharded corpus (pinned by
-        the shard-equivalence property suite): lowest current
-        scheduling weight loses, earliest-admitted among ties.  Victim
-        choice happens under the frontier lock alone; removal then
-        takes the victim's shard first, keeping the shard -> frontier
-        lock order.
-        """
-        while True:
-            with self._frontier_lock:
-                if len(self._order) <= self.max_corpus:
-                    return
-                victim = min(range(len(self._order)),
-                             key=lambda i: self._order[i].weight())
-                digest = self._order[victim].digest
-            shard = self._shard_for(digest)
-            with shard._lock:
-                with self._frontier_lock:
-                    removed = shard.corpus.remove(digest)
-                    if removed is not None:
-                        for position, entry in enumerate(self._order):
-                            if entry is removed:
-                                del self._order[position]
-                                break
 
     # -- crash triage -------------------------------------------------------
 
@@ -346,4 +201,4 @@ class CampaignState:
     def snapshot_digests(self) -> List[str]:
         """Shared-corpus content hashes, insertion order."""
         with self._frontier_lock:
-            return [entry.digest for entry in self._order]
+            return self.corpus.digests()

@@ -171,21 +171,6 @@ class Corpus:
         removed = self.entries.pop(victim)
         del self._by_digest[removed.digest]
 
-    def remove(self, digest: str) -> Optional[CorpusEntry]:
-        """Drop one entry by content hash; returns it, or None.
-
-        The campaign's sharded shared corpus makes eviction a *global*
-        decision across shards (``repro.farm.state``), so the policy
-        lives there and each shard only needs targeted removal.
-        """
-        removed = self._by_digest.pop(digest, None)
-        if removed is not None:
-            for position, entry in enumerate(self.entries):
-                if entry is removed:
-                    del self.entries[position]
-                    break
-        return removed
-
     def import_entry(self, entry: CorpusEntry) -> Optional[CorpusEntry]:
         """Merge a foreign (shared-corpus) entry into this pool.
 

@@ -134,13 +134,10 @@ class EofEngine:
             coverage=self.coverage if self.options.feedback else None)
         self.mutator = ProgramMutator(spec, self.rng, self.generator)
         # Statically-reachable edge universe for this build: the
-        # denominator of the coverage-saturation metric.  Analysis is
-        # best-effort — an unanalyzable build just reports saturation 0.
-        try:
-            from repro.analysis.reach import reachable_edge_universe
-            self.stats.reachable_edges = reachable_edge_universe(build)
-        except Exception:
-            self.stats.reachable_edges = 0
+        # denominator of the coverage-saturation metric (0 for an
+        # uninstrumented build, which then reports saturation 0).
+        from repro.analysis.reach import reachable_edge_universe
+        self.stats.reachable_edges = reachable_edge_universe(build)
         self.session: Optional[DebugSession] = None
         self.watchdog: Optional[LivenessWatchdog] = None
         self.restoration: Optional[StateRestoration] = None
@@ -155,12 +152,6 @@ class EofEngine:
         self._run_started_at = 0
         self._iteration = 0
         self._clamps_at_start = 0
-        # Campaign mode: edges other boards already covered (the global
-        # bitmap, refreshed at sync epochs).  Locally-fresh edges that
-        # are foreign-known earn no interestingness reward, so workers
-        # steer away from each other's territory instead of
-        # rediscovering it.
-        self.foreign_edges: set = set()
         self.heap_probe = None
         self.log_monitor = LogMonitor(build.config.os_name, obs=self.obs)
         self.exception_monitor: Optional[ExceptionMonitor] = None
@@ -391,29 +382,6 @@ class EofEngine:
         self._inject_queue.extend(programs)
         self.stats.imported_seeds += len(programs)
 
-    def import_entries(self, entries) -> int:
-        """Merge foreign corpus entries directly into the local pool
-        (the zero-cost campaign import path).
-
-        Unlike :meth:`inject_programs` this spends no target cycles:
-        the seed arrives with its recorded footprint and weight inputs,
-        and becomes mutation/splice material immediately.  Returns how
-        many entries were actually new here.
-        """
-        imported = 0
-        for entry in entries:
-            if self.corpus.import_entry(entry) is not None:
-                imported += 1
-        self.stats.imported_seeds += imported
-        return imported
-
-    def absorb_frontier(self, edges) -> None:
-        """Refresh the foreign-edge view of the global coverage bitmap
-        (campaign sync hook; edges this board saw itself are kept out
-        of the foreign set so local reporting stays local)."""
-        self.foreign_edges.update(
-            edge for edge in edges if edge not in self.coverage.edges)
-
     def _discovery_rate(self) -> float:
         """New edges per program over the recent window."""
         window = self._recent_new_edges[-150:]
@@ -612,13 +580,6 @@ class EofEngine:
                 return 0
             edges = decode_coverage_buffer(raw, obs=self.obs)
             fresh_edges = self.coverage.add_new(edges)
-            if self.foreign_edges:
-                # Campaign dedup: an edge some other board already
-                # covered still enters the local map (it *was* seen
-                # here) but earns no reward — rediscovering the global
-                # frontier is not progress.
-                fresh_edges = [edge for edge in fresh_edges
-                               if edge not in self.foreign_edges]
             self._fresh_edges.extend(fresh_edges)
             fresh = len(fresh_edges)
         if self.obs.enabled:

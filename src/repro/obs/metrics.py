@@ -39,8 +39,7 @@ METRIC_REGISTRY = frozenset({
     # -- multi-board campaigns (repro.farm) ---------------------------------
     "farm.sync.epochs", "farm.merged.edges", "farm.shared.corpus",
     "farm.seeds.shared", "farm.seeds.imported",
-    "farm.backend", "farm.shards", "farm.shard.touched",
-    "farm.sync.delta.bytes", "farm.workers.lost",
+    "farm.backend", "farm.sync.delta.bytes", "farm.workers.lost",
     # -- telemetry pipeline -------------------------------------------------
     "ts.samples", "flight.dumps", "profile.attribution",
     # -- campaign store (repro.db) ------------------------------------------

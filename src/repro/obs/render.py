@@ -297,11 +297,11 @@ def render_dashboard(summary: Dict[str, object],
     bold, dim, cyan, reset = ((_BOLD, _DIM, _CYAN, _RESET) if ansi
                               else ("", "", "", ""))
     head = (f"{bold}{cyan}epoch {summary['epoch']:>3}{reset} "
-            f"merged_edges={summary['merged_edges']} "
-            f"shared={summary['shared_corpus']} "
+            f"merged_edges={summary['edges']} "
+            f"shared={summary['shared']} "
             f"imported={summary['imported']} "
             f"crashes={summary['crashes']} "
-            f"live={summary['live_workers']}/{summary['workers_total']}")
+            f"live={summary['live']}/{summary['workers_total']}")
     rows = []
     for index, worker in enumerate(summary.get("workers", [])):
         status = worker.get("status", "live")

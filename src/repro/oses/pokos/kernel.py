@@ -161,7 +161,9 @@ class PokKernel(EmbeddedKernel):
     @kapi(module="part", sites=6, args=[arg_int("slots", 1, 4)], ret="part",
           doc="Declare a partition with scheduling slots.")
     def pok_partition_create(self, slots: int) -> int:
-        if len(self.partitions) >= MAX_PARTITIONS:
+        # An out-of-range slot count would skew (or zero) the major
+        # frame ``pok_sched`` rotates over.
+        if len(self.partitions) >= MAX_PARTITIONS or not 1 <= slots <= 4:
             self.ctx.cov(1)
             return POK_EINVAL
         partition = _Partition(slots)

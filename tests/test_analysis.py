@@ -513,6 +513,19 @@ class TestAnalyzeTargetAndArtifacts:
                                   "stats": result.stats.to_dict()})
         assert "saturation" in rendered
 
+    def test_engine_surfaces_reach_failure(self, monkeypatch):
+        from repro.analysis import reach
+        from repro.firmware.builder import build_firmware
+        build = build_firmware(get_target("pokos").build_config())
+        spec = generate_validated_specs(build)
+
+        def broken(_build):
+            raise RuntimeError("reach exploded")
+
+        monkeypatch.setattr(reach, "reachable_edge_universe", broken)
+        with pytest.raises(RuntimeError, match="reach exploded"):
+            EofEngine(build, spec, EngineOptions(seed=3))
+
 
 # ---------------------------------------------------------------------------
 # CLI surface

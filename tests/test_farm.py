@@ -122,6 +122,23 @@ class TestCampaignState:
                           limit=8)
         assert none == []
 
+    def test_cap_evicts_lowest_weight_then_earliest(self):
+        state = CampaignState(max_corpus=2)
+        first = seed_entry(20, {1, 2}, new_edges=3)
+        weak = seed_entry(21, {3}, new_edges=0)
+        last = seed_entry(22, {4, 5}, new_edges=3)
+        assert state.push(0, 1, [first, weak, last]) == 3
+        assert weak.digest not in state.corpus
+        assert weak.digest not in state.snapshot_digests()
+        assert len(state.corpus) == 2
+        assert state.seeds_shared == 3
+        # Equal weights: the earliest-admitted seed is the victim.
+        state = CampaignState(max_corpus=2)
+        tied = [seed_entry(30 + i, {10 + i}) for i in range(3)]
+        assert state.push(1, 1, tied) == 3
+        assert state.snapshot_digests() == [tied[1].digest,
+                                            tied[2].digest]
+
     def test_crash_triage_dedups_across_workers(self):
         state = CampaignState()
         boom = CrashReport("freertos", KIND_PANIC, "boom at 0x100",
@@ -170,25 +187,12 @@ class TestEngineImportPaths:
         engine.start()
         return engine
 
-    def test_import_entries_merges_without_spending_cycles(self, started):
-        before = started.session.board.machine.cycles
-        fresh = seed_entry(901, {9001, 9002})
-        assert started.import_entries([fresh, fresh]) == 1
-        assert fresh.digest in started.corpus
-        assert started.session.board.machine.cycles == before
-
     def test_inject_programs_counts_imports(self, started):
         before = started.stats.imported_seeds
         program = TestProgram(calls=[Call(1, (ArgImm(1),))])
         started.inject_programs([program])
         assert started.stats.imported_seeds == before + 1
         assert started._inject_queue
-
-    def test_absorb_frontier_excludes_local_edges(self, started):
-        started.coverage.add_edges([123_456])
-        started.absorb_frontier({123_456, 10**9})
-        assert 10**9 in started.foreign_edges
-        assert 123_456 not in started.foreign_edges
 
 
 class TestCampaign:

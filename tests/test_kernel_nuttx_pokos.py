@@ -191,6 +191,16 @@ class TestPokos:
         assert part > 0
         assert pk.pok_partition_set_mode(part, MODE_NORMAL) == POK_OK
 
+    def test_partition_create_rejects_bad_slots(self, pk):
+        # Two -1 partitions would zero the major frame pok_sched
+        # rotates over.
+        before = len(pk.partitions)
+        assert pk.pok_partition_create(-1) == POK_EINVAL
+        assert pk.pok_partition_create(-1) == POK_EINVAL
+        assert pk.pok_partition_create(5) == POK_EINVAL
+        pk.pok_sched()
+        assert len(pk.partitions) == before
+
     def test_idle_to_normal_forbidden(self, pk):
         part = pk.pok_partition_create(1)
         pk.pok_partition_set_mode(part, MODE_IDLE)

@@ -445,7 +445,7 @@ class TestFarmTelemetry:
         assert len(rows) == len(epochs) == result.stats.sync_epochs
         for row, summary in zip(rows, epochs):
             assert row["epoch"] == summary["epoch"]
-            assert row["edges"] == summary["merged_edges"]
+            assert row["edges"] == summary["edges"]
             assert row["lanes"] == summary["lanes"]
         # The merged frontier bounds every lane at every barrier.
         for row in rows:
@@ -533,8 +533,8 @@ class TestRenderers:
         assert "w0" in html_text and "w1" in html_text
 
     def test_dashboard_frame(self):
-        summary = {"epoch": 3, "merged_edges": 42, "shared_corpus": 7,
-                   "imported": 1, "crashes": 0, "live_workers": 2,
+        summary = {"epoch": 3, "edges": 42, "shared": 7,
+                   "imported": 1, "crashes": 0, "live": 2,
                    "workers_total": 2,
                    "workers": [{"edges": 30, "execs": 10, "crashes": 0,
                                 "restores": 1, "status": "live"},
