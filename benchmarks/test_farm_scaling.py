@@ -2,16 +2,17 @@
 
 Two gates for the campaign backends:
 
-* **Epoch-loop scaling** — the in-thread backend serialises engine
-  execution behind the GIL, so on a multi-core host 4 subprocess
-  workers must run the epoch loop of the same deterministic workload
-  faster than 4 in-thread workers.  Each campaign is timed in two
-  phases: start-up (until the last worker's ``join_start`` returns)
-  and the epoch loop after it.  Only the loop is gated, and only with
-  at least 2 usable cores; start-up and total wall-clock are recorded
-  but not gated, because spawning and booting the children still costs
-  more than the loop wins at this budget (cutting that is a fork-server
-  job, not a transport one).
+* **Epoch-loop scaling** — the inline backend runs the boards one
+  after another on the coordinator thread, so there is no GIL
+  contention for the process backend to beat: on a multi-core host its
+  4 child workers must run the epoch loop of the same deterministic
+  workload faster than 4 inline boards by truly running in parallel.
+  Each campaign is timed in two phases: start-up (until the last
+  worker's ``join_start`` returns) and the epoch loop after it.  Only
+  the loop is gated, and only with at least 2 usable cores; start-up
+  and total wall-clock are recorded but not gated, because spawning and
+  booting the children still costs more than the loop wins at this
+  budget (cutting that is a fork-server job, not a transport one).
 * **Sync cost is O(delta)** — pushing a fixed-size epoch delta into the
   shared corpus must not get more expensive as the *resident* corpus
   grows: dedup is one hash probe per seed.  The frame that carries
@@ -67,7 +68,7 @@ def wall_clock():
     ``join_start`` returns; the epoch loop is everything after it."""
     timings = {}
     results = {}
-    for backend in ("thread", "process"):
+    for backend in ("inline", "process"):
         started = []
         begin = time.perf_counter()
         orchestrator = make_campaign(
@@ -107,22 +108,22 @@ def sync_costs():
 def test_backends_agree_before_timing_them(wall_clock):
     """Speed claims only count between observationally equal runs."""
     _, results = wall_clock
-    thread, process = results["thread"], results["process"]
-    assert process.merged_edges == thread.merged_edges
-    assert process.corpus_digests == thread.corpus_digests
-    assert process.crash_signatures() == thread.crash_signatures()
+    inline, process = results["inline"], results["process"]
+    assert process.merged_edges == inline.merged_edges
+    assert process.corpus_digests == inline.corpus_digests
+    assert process.crash_signatures() == inline.crash_signatures()
 
 
-def test_process_epoch_loop_beats_thread_on_multicore(wall_clock):
+def test_process_epoch_loop_beats_inline_on_multicore(wall_clock):
     timings, _ = wall_clock
     cores = usable_cores()
     if cores < 2:
         pytest.skip("single usable core: subprocess workers cannot "
-                    "out-run the GIL here; timing recorded only")
-    process, thread = timings["process"]["loop"], timings["thread"]["loop"]
-    assert process < thread, (
+                    "run in parallel here; timing recorded only")
+    process, inline = timings["process"]["loop"], timings["inline"]["loop"]
+    assert process < inline, (
         f"the epoch loop of 4 subprocess workers took {process:.2f}s vs "
-        f"{thread:.2f}s in-thread with {cores} usable cores")
+        f"{inline:.2f}s inline with {cores} usable cores")
 
 
 def test_sync_cost_tracks_delta_not_corpus(sync_costs):
@@ -158,14 +159,14 @@ def test_farm_scaling_render(wall_clock, sync_costs):
         "Backend   Start-up     Loop    Total  Merged edges  Execs",
         "-" * 66,
     ]
-    for backend in ("thread", "process"):
+    for backend in ("inline", "process"):
         result, timing = results[backend], timings[backend]
         lines.append(f"{backend:<9} {timing['startup']:>7.2f}s "
                      f"{timing['loop']:>7.2f}s {timing['total']:>7.2f}s "
                      f"{result.merged_edges:>13}  "
                      f"{result.stats.total_programs():>5}")
     lines.append("-" * 66)
-    lines.append("Gated: the epoch loop only (process < thread, with >= 2 "
+    lines.append("Gated: the epoch loop only (process < inline, with >= 2 "
                  "usable cores).")
     lines.append("Total wall-clock is recorded but not gated: child "
                  "start-up still")

@@ -15,10 +15,11 @@ Four passes with stable diagnostic codes (see
   ``EOF3xx``): repo-hygiene rules over ``src/repro`` itself, exposed as
   ``eof-fuzz lint`` and enforced in CI.
 * **Pass 4 — concurrency effects** (:mod:`repro.analysis.concurrency`,
-  ``EOF4xx``): interprocedural effect analysis over ``src/repro`` —
-  guarded-attribute discipline (``GUARDED_BY``), lock-order cycles,
-  signal-handler effect whitelisting, and threaded module-global
-  writes.  Exposed as ``eof-fuzz concurrency`` and gated in CI.
+  ``EOF4xx``): interprocedural effect analysis over ``src/repro``, which
+  runs on one thread (EOF308) — guarded-attribute discipline
+  (``GUARDED_BY``), signal-handler effect whitelisting, and module
+  globals written from signal context.  Exposed as ``eof-fuzz
+  concurrency`` and gated in CI.
 
 All passes honor inline ``# eof: allow[EOFnnn]`` suppressions
 (:mod:`repro.analysis.suppress`); a stale allow is itself reported as

@@ -1,35 +1,25 @@
-"""Concurrency pass: static race, lock-order, and signal-safety checks.
+"""Concurrency pass: guarded-attribute and signal-safety checks.
 
 Built on the interprocedural effect analysis in
-:mod:`repro.analysis.effects`.  Execution contexts are discovered, not
-declared: worker context flows from every target of
-``ThreadPoolExecutor.submit`` / ``threading.Thread(target=...)``,
-signal-handler context from every handler passed to ``signal.signal``,
-and barrier context from the methods a class names in its
-``EPOCH_BARRIERS`` tuple.  The declared side of the contract is the
-``GUARDED_BY`` class attribute: a mapping from attribute name to either
-a lock attribute on the same object or one of the sentinels
-``"@atomic"`` / ``"@main"`` / ``"@barrier"``.
+:mod:`repro.analysis.effects`.  ``src/repro`` runs on one thread — lint
+rule EOF308 rejects any threading import — so the one context that can
+preempt the coordinator is a signal handler.  Signal context is
+discovered, not declared: it flows from every handler passed to
+``signal.signal`` along the static call graph.  The declared side of
+the contract is the ``GUARDED_BY`` class attribute: a mapping from
+attribute name to one of the sentinels ``"@atomic"`` / ``"@main"``.
 
 Diagnostics:
 
-* **EOF401** — a guarded instance attribute is written without its
-  declared protection.  For a lock guard the write must be lexically
-  inside ``with self.<lock>:`` (or inside a method that every resolved
-  caller enters with the lock already held); the check is
-  context-independent — an unlocked write is flagged even if today only
-  one thread reaches it, because the ``GUARDED_BY`` declaration *is*
-  the claim being checked.  ``"@atomic"`` attributes may only be
-  assigned whole literal constants (a GIL-atomic store, the stop-flag
-  pattern); ``"@main"`` and ``"@barrier"`` attributes may not be
-  written from worker or signal context at all.  ``__init__`` is
-  exempt: construction happens before the object is published.
-* **EOF402** — lock-order inversion: a cycle in the
-  acquired-while-holding graph.  Edges come from lexically nested
-  ``with`` regions and from calls made while holding a lock into
-  functions that (transitively) acquire another.  One diagnostic is
-  emitted per strongly connected component, anchored at its
-  first-seen acquisition site.
+* **EOF401** — an instance attribute named in ``GUARDED_BY`` is
+  written against its declared guard.  ``"@atomic"`` attributes may
+  only be assigned whole literal constants (a store a signal handler
+  can make without tearing anything, the stop-flag pattern); ``"@main"``
+  attributes may not be written from signal context at all.  Any other
+  guard value names a lock, and with no second thread there is no lock
+  to hold, so every write to such an attribute is a finding.
+  ``__init__`` is exempt: construction happens before the object is
+  published.
 * **EOF403** — a signal handler whose *transitive* effect set exceeds
   the async-signal-safe whitelist: constant flag assignments and
   ``.append(...)`` on a pre-existing container.  Anything else —
@@ -37,48 +27,39 @@ Diagnostics:
   invariants when the handler preempts arbitrary bytecode.
 * **EOF404** — a mutable module-level global written (rebound via an
   explicit ``global``, item-assigned, or mutated in place) from a
-  function reachable in worker or signal context, with no module-level
-  lock held.  Cross-thread module state must either move onto a
-  guarded object or take an explicit module lock.
+  function reachable in signal context.  State a handler touches must
+  live on an object whose ``GUARDED_BY`` contract says so.
 * **EOF405** — guarded state mutated from *outside* its owning class
-  (``other.state.crashes[k] = ...``) without holding the declared lock
-  and outside an epoch-barrier region.  Barrier regions are exempt
-  because the pool has been joined there; worker or signal context is
-  never exempt.
+  (``other.state.crashes[k] = ...``) against its declared guard: the
+  same ``@atomic`` / ``@main`` rules as EOF401, and a lock guard is
+  never satisfied.
 
 What this pass does **not** prove: it reasons over the static call
 graph (dynamic dispatch is approximated by type inference plus
-unique-name fallback), treats any ``with`` on a lock-ish attribute as
-protection regardless of runtime aliasing, and says nothing about
-atomicity of read-modify-write *reads*.  It is a discipline checker —
-a machine-checked convention — not a model checker.
+unique-name fallback) and says nothing about atomicity of
+read-modify-write *reads*.  It is a discipline checker — a
+machine-checked convention — not a model checker.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set
 
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, diag
 from repro.analysis.effects import (
-    CTX_BARRIER,
-    CTX_SIGNAL,
-    CTX_WORKER,
     CodeIndex,
     Effect,
     FunctionInfo,
     build_index,
-    entry_locks,
-    propagate_contexts,
-    transitive_acquires,
+    signal_reachable,
     transitive_effects,
 )
 from repro.analysis.suppress import SuppressionIndex, scan_suppressions
 
-#: Guard sentinels a ``GUARDED_BY`` value may use instead of a lock name.
+#: The guard sentinels a ``GUARDED_BY`` value may use.
 SENTINEL_ATOMIC = "@atomic"
 SENTINEL_MAIN = "@main"
-SENTINEL_BARRIER = "@barrier"
 
 
 def _guard_for(index: CodeIndex, owner: str, attr: str) -> str:
@@ -90,26 +71,8 @@ def _guard_for(index: CodeIndex, owner: str, attr: str) -> str:
     return ""
 
 
-def _lock_held(held: FrozenSet[str], guard: str) -> bool:
-    """True when some held token is ``<Class>.<guard>`` / ``?.<guard>``
-    (receiver typing may root the token at a base or subclass name, so
-    matching is by lock-attribute name)."""
-    suffix = "." + guard
-    return any(token.endswith(suffix) for token in held)
-
-
-def _module_lock_held(held: FrozenSet[str]) -> bool:
-    return any("::" in token for token in held)
-
-
 def _where(fn: FunctionInfo, line: int) -> str:
     return f"{fn.rel_path}:{line}"
-
-
-def _is_threaded(contexts: Dict[FunctionInfo, Set[str]],
-                 fn: FunctionInfo) -> bool:
-    ctx = contexts.get(fn, ())
-    return CTX_WORKER in ctx or CTX_SIGNAL in ctx
 
 
 def _whitelisted_handler_effect(effect: Effect) -> bool:
@@ -124,198 +87,55 @@ def _whitelisted_handler_effect(effect: Effect) -> bool:
 # ---------------------------------------------------------------------------
 
 def _check_guarded_writes(index: CodeIndex,
-                          contexts: Dict[FunctionInfo, Set[str]],
-                          entry: Dict[FunctionInfo, FrozenSet[str]]
+                          in_signal: Set[FunctionInfo]
                           ) -> List[Diagnostic]:
     out: List[Diagnostic] = []
     for fn in index.functions:
-        held_on_entry = entry.get(fn, frozenset())
         for effect in fn.effects:
             if effect.kind != "attr" or not effect.owner:
                 continue
             guard = _guard_for(index, effect.owner, effect.name)
             if not guard:
                 continue
-            held = effect.locks | held_on_entry
+            if effect.via_self and fn.name == "__init__":
+                continue
+            violation = _guard_violation(guard, effect, fn in in_signal)
+            if not violation:
+                continue
             if effect.via_self:
-                if fn.name == "__init__":
-                    continue
-                violation = self_write_violation(
-                    guard, effect, held, contexts, fn)
-                if violation:
-                    out.append(diag(
-                        "EOF401",
-                        f"{effect.owner}.{effect.name} is declared "
-                        f"GUARDED_BY {guard!r} but {violation}",
-                        where=_where(fn, effect.line),
-                        function=fn.qual, attribute=effect.name,
-                        guard=guard))
+                out.append(diag(
+                    "EOF401",
+                    f"{effect.owner}.{effect.name} is declared "
+                    f"GUARDED_BY {guard!r} but {violation}",
+                    where=_where(fn, effect.line),
+                    function=fn.qual, attribute=effect.name,
+                    guard=guard))
             else:
-                violation = external_write_violation(
-                    guard, effect, held, contexts, fn)
-                if violation:
-                    out.append(diag(
-                        "EOF405",
-                        f"{effect.owner}.{effect.name} is mutated from "
-                        f"outside {effect.owner} ({fn.qual}) {violation}",
-                        where=_where(fn, effect.line),
-                        function=fn.qual, attribute=effect.name,
-                        guard=guard))
+                out.append(diag(
+                    "EOF405",
+                    f"{effect.owner}.{effect.name} is mutated from "
+                    f"outside {effect.owner} ({fn.qual}) but "
+                    f"{violation}",
+                    where=_where(fn, effect.line),
+                    function=fn.qual, attribute=effect.name,
+                    guard=guard))
     return out
 
 
-def self_write_violation(guard: str, effect: Effect,
-                         held: FrozenSet[str],
-                         contexts: Dict[FunctionInfo, Set[str]],
-                         fn: FunctionInfo) -> str:
-    """A description of the EOF401 violation, or "" when the write is
-    disciplined."""
+def _guard_violation(guard: str, effect: Effect, in_signal: bool) -> str:
+    """A description of how a write breaks its guard, or "" when the
+    write is disciplined."""
     if guard == SENTINEL_ATOMIC:
         if effect.op == "assign" and effect.const:
             return ""
         return ("@atomic allows only whole constant assignments; "
                 f"this is a {effect.op} write")
-    if guard in (SENTINEL_MAIN, SENTINEL_BARRIER):
-        if _is_threaded(contexts, fn):
-            return (f"{guard} state is written from "
-                    f"{'/'.join(sorted(contexts.get(fn, ())))} context")
+    if guard == SENTINEL_MAIN:
+        if in_signal:
+            return "@main state is written from signal context"
         return ""
-    if _lock_held(held, guard):
-        return ""
-    return f"this write does not hold self.{guard}"
-
-
-def external_write_violation(guard: str, effect: Effect,
-                             held: FrozenSet[str],
-                             contexts: Dict[FunctionInfo, Set[str]],
-                             fn: FunctionInfo) -> str:
-    """A description of the EOF405 violation, or "" when allowed."""
-    if guard == SENTINEL_ATOMIC:
-        if effect.op == "assign" and effect.const:
-            return ""
-        return ("without the @atomic constant-assignment shape "
-                f"(a {effect.op} write)")
-    if guard in (SENTINEL_MAIN, SENTINEL_BARRIER):
-        if _is_threaded(contexts, fn):
-            return (f"from {'/'.join(sorted(contexts.get(fn, ())))} "
-                    f"context despite its {guard} guard")
-        return ""
-    if _lock_held(held, guard):
-        return ""
-    ctx = contexts.get(fn, set())
-    if CTX_BARRIER in ctx and not _is_threaded(contexts, fn):
-        return ""               # pool joined at the barrier
-    return f"without holding its declared lock .{guard}"
-
-
-# ---------------------------------------------------------------------------
-# EOF402 — lock-order inversion
-# ---------------------------------------------------------------------------
-
-def _lock_graph(index: CodeIndex
-                ) -> Dict[Tuple[str, str], Tuple[str, int]]:
-    """acquired-while-holding edges ``(held, acquired) -> provenance``."""
-    acq = transitive_acquires(index)
-    edges: Dict[Tuple[str, str], Tuple[str, int]] = {}
-
-    def add(held: str, acquired: str, rel_path: str, line: int) -> None:
-        if held == acquired:
-            return
-        key = (held, acquired)
-        if key not in edges or (rel_path, line) < edges[key]:
-            edges[key] = (rel_path, line)
-
-    for fn in index.functions:
-        for acquire in fn.acquires:
-            for held in acquire.held:
-                add(held, acquire.lock, fn.rel_path, acquire.line)
-        for site in fn.calls:
-            if not site.locks:
-                continue
-            targets, strong = index.resolve_call(fn, site)
-            for callee in index.traversable(targets, strong):
-                for acquired in acq.get(callee, ()):
-                    for held in site.locks:
-                        add(held, acquired, fn.rel_path, site.line)
-    return edges
-
-
-def _lock_cycles(edges: Dict[Tuple[str, str], Tuple[str, int]]
-                 ) -> List[List[str]]:
-    """Strongly connected components with a cycle, sorted."""
-    graph: Dict[str, List[str]] = {}
-    for held, acquired in edges:
-        graph.setdefault(held, []).append(acquired)
-        graph.setdefault(acquired, [])
-
-    # Tarjan, iterative for determinism over sorted adjacency.
-    index_of: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    sccs: List[List[str]] = []
-    counter = [0]
-
-    def strongconnect(root: str) -> None:
-        work = [(root, iter(sorted(graph[root])))]
-        index_of[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, successors = work[-1]
-            advanced = False
-            for succ in successors:
-                if succ not in index_of:
-                    index_of[succ] = low[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(sorted(graph[succ]))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index_of[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index_of[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(sorted(component))
-
-    for node in sorted(graph):
-        if node not in index_of:
-            strongconnect(node)
-
-    cyclic = [scc for scc in sccs
-              if len(scc) > 1 or (scc[0], scc[0]) in edges]
-    return sorted(cyclic)
-
-
-def _check_lock_order(index: CodeIndex) -> Tuple[List[Diagnostic], int]:
-    edges = _lock_graph(index)
-    out: List[Diagnostic] = []
-    for scc in _lock_cycles(edges):
-        members = set(scc)
-        provenance = sorted(
-            location for (held, acquired), location in edges.items()
-            if held in members and acquired in members)
-        rel_path, line = provenance[0]
-        order = " -> ".join(scc + [scc[0]])
-        out.append(diag(
-            "EOF402",
-            f"locks can be acquired in conflicting orders: {order}",
-            where=f"{rel_path}:{line}", locks=tuple(scc)))
-    return out, len(edges)
+    return (f"{guard!r} names a lock, and a single-threaded tree has "
+            f"none to hold; declare @atomic or @main")
 
 
 # ---------------------------------------------------------------------------
@@ -354,31 +174,26 @@ def _check_signal_handlers(index: CodeIndex) -> List[Diagnostic]:
 
 
 # ---------------------------------------------------------------------------
-# EOF404 — module globals under threads
+# EOF404 — module globals under signal handlers
 # ---------------------------------------------------------------------------
 
 def _check_module_globals(index: CodeIndex,
-                          contexts: Dict[FunctionInfo, Set[str]]
+                          in_signal: Set[FunctionInfo]
                           ) -> List[Diagnostic]:
     out: List[Diagnostic] = []
     for fn in index.functions:
-        if not _is_threaded(contexts, fn):
+        if fn not in in_signal:
             continue
         for effect in fn.effects:
             if effect.kind != "global":
                 continue
             if effect.op == "assign" and effect.const:
-                continue        # GIL-atomic flag store
-            if _module_lock_held(effect.locks):
-                continue
-            ctx = "/".join(sorted(
-                c for c in contexts.get(fn, ())
-                if c in (CTX_WORKER, CTX_SIGNAL)))
+                continue        # a flag store cannot tear
             out.append(diag(
                 "EOF404",
                 f"module global {effect.name!r} is mutated "
-                f"({effect.op}) by {fn.qual}, which runs in {ctx} "
-                f"context, without a module lock",
+                f"({effect.op}) by {fn.qual}, which runs in signal "
+                f"context",
                 where=_where(fn, effect.line),
                 function=fn.qual, name=effect.name))
     return out
@@ -399,16 +214,13 @@ def analyze_concurrency(paths: Optional[Sequence[str]] = None,
     stale EOF4xx allows.
     """
     index = build_index(paths)
-    contexts = propagate_contexts(index)
-    entry = entry_locks(index)
+    in_signal = signal_reachable(index)
 
     report = AnalysisReport(target="concurrency")
     diagnostics: List[Diagnostic] = []
-    diagnostics.extend(_check_guarded_writes(index, contexts, entry))
-    lock_diags, lock_edges = _check_lock_order(index)
-    diagnostics.extend(lock_diags)
+    diagnostics.extend(_check_guarded_writes(index, in_signal))
     diagnostics.extend(_check_signal_handlers(index))
-    diagnostics.extend(_check_module_globals(index, contexts))
+    diagnostics.extend(_check_module_globals(index, in_signal))
 
     own_index = suppressions is None
     if own_index:
@@ -424,12 +236,7 @@ def analyze_concurrency(paths: Optional[Sequence[str]] = None,
         "conc.files": len(index.files),
         "conc.functions": len(index.functions),
         "conc.classes_guarded": guarded,
-        "conc.worker_functions": sum(
-            1 for ctx in contexts.values() if CTX_WORKER in ctx),
         "conc.signal_handlers": len({id(h) for h in index.signal_roots}),
-        "conc.barrier_functions": sum(
-            1 for ctx in contexts.values() if CTX_BARRIER in ctx),
-        "conc.lock_edges": lock_edges,
         "conc.diagnostics": len(report.diagnostics),
     }
     return report

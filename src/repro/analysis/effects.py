@@ -1,4 +1,4 @@
-"""Interprocedural effect analysis: who writes what, holding which locks.
+"""Interprocedural effect analysis: who writes what, reached from where.
 
 The substrate of the EOF4xx concurrency pass
 (:mod:`repro.analysis.concurrency`).  Parsing every Python file under a
@@ -9,32 +9,27 @@ root yields a :class:`CodeIndex` with, per function or method:
   ``self.x.append(...)``), writes to module-level globals, and writes
   through *typed* external receivers (``state.crashes[sig] = ...``
   where ``state`` is known to be a ``CampaignState``);
-* the **lock context** of every effect and call: ``with self._lock:``
-  regions are tracked lexically, so each write knows exactly which lock
-  tokens were held around it;
-* the **outgoing calls**, each tagged with how its receiver resolves.
+* the **outgoing calls**, each tagged with how its receiver resolves;
+* the **signal handlers** it registers (``signal.signal(sig, f)``).
 
 Per class it records the declared concurrency contract: a ``GUARDED_BY``
-mapping (attribute name -> guard), where a guard is either the name of a
-lock attribute on the same object or one of three sentinels —
-``"@atomic"`` (writes must be single constant assignments, which are
-atomic under the GIL), ``"@main"`` (the attribute is only ever touched
-by single-threaded coordinator code), ``"@barrier"`` (touched only
-inside an epoch-barrier region) — plus ``EPOCH_BARRIERS``, the method
-names that constitute the barrier region, and the attribute types
-recovered from annotations and constructor assignments.
+mapping (attribute name -> guard), where a guard is one of two
+sentinels — ``"@atomic"`` (writes must be single constant assignments,
+which a signal handler can make without tearing anything) or
+``"@main"`` (the attribute is only ever written from the main thread,
+never from a signal handler) — plus the attribute types recovered from
+annotations and constructor assignments.
 
 Call resolution is *typed first*: ``self.m()`` binds within the class
 (bases included); receivers with a recoverable type (parameter
 annotations, ``x = ClassName(...)`` assignments, typed attributes,
 ``List[T]`` element access, module-level singletons such as ``CLAMPS =
 ClampCounter()``) bind to that class and any subclass overrides.  A
-call that resolves no type falls back to name matching — and context
-propagation follows a fallback edge only when the method name is
+call that resolves no type falls back to name matching — and the
+reachability walk follows a fallback edge only when the method name is
 *unique* across the scanned tree, so ubiquitous names (``close``,
-``emit``, ``get``) never smear a thread context across unrelated
-classes.  Lock-discipline checks do not depend on that compromise:
-they are lexical and hold in every context.
+``emit``, ``get``) never smear signal context across unrelated
+classes.
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ import ast
 import builtins
 import os
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.lint import _iter_python_files, _rel, default_lint_root
 
@@ -67,11 +62,6 @@ _FALLBACK_BLOCKLIST = frozenset({
 
 _BUILTIN_NAMES = frozenset(dir(builtins))
 
-#: Execution contexts the concurrency pass discovers.
-CTX_WORKER = "worker"
-CTX_SIGNAL = "signal"
-CTX_BARRIER = "barrier"
-
 
 @dataclass(frozen=True)
 class Effect:
@@ -82,7 +72,6 @@ class Effect:
     name: str                    # attribute / global name
     op: str                      # "assign" | "aug" | "item" | "mutate"
     line: int
-    locks: FrozenSet[str]
     via_self: bool = False
     const: bool = False          # simple assignment of a literal
     detail: str = ""             # mutator method name for op == "mutate"
@@ -95,16 +84,6 @@ class CallSite:
     scope: str                   # "self" | "type" | "name" | "attr"
     name: str                    # callee method/function name
     type_name: str               # receiver class for scope == "type"
-    line: int
-    locks: FrozenSet[str]
-
-
-@dataclass(frozen=True)
-class Acquire:
-    """One ``with <lock>:`` entry and the locks already held there."""
-
-    lock: str
-    held: FrozenSet[str]
     line: int
 
 
@@ -120,12 +99,10 @@ class FunctionInfo:
     cls: Optional["ClassInfo"] = None
     effects: List[Effect] = field(default_factory=list)
     calls: List[CallSite] = field(default_factory=list)
-    acquires: List[Acquire] = field(default_factory=list)
     local_types: Dict[str, str] = field(default_factory=dict)
     global_decls: Set[str] = field(default_factory=set)
-    #: Unresolved expressions registered as thread-pool / Thread /
-    #: signal-handler targets inside this body.
-    worker_refs: List[ast.expr] = field(default_factory=list)
+    #: Unresolved expressions registered as signal handlers inside this
+    #: body.
     signal_refs: List[ast.expr] = field(default_factory=list)
 
 
@@ -140,7 +117,6 @@ class ClassInfo:
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
     attr_types: Dict[str, str] = field(default_factory=dict)
     guarded_by: Dict[str, str] = field(default_factory=dict)
-    barriers: Tuple[str, ...] = ()
 
 
 @dataclass(eq=False)
@@ -151,7 +127,6 @@ class ModuleInfo:
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     globals: Set[str] = field(default_factory=set)
-    module_locks: Set[str] = field(default_factory=set)
     instance_types: Dict[str, str] = field(default_factory=dict)
     imported_modules: Set[str] = field(default_factory=set)
 
@@ -200,21 +175,6 @@ def _ann_str(node: Optional[ast.AST]) -> str:
     return ""
 
 
-def _lockish_name(name: str) -> bool:
-    return "lock" in name.lower()
-
-
-def _is_lock_ctor(node: ast.AST) -> bool:
-    """``threading.Lock()`` / ``RLock()`` / ``Condition()``-shaped."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    attr = func.attr if isinstance(func, ast.Attribute) else \
-        (func.id if isinstance(func, ast.Name) else "")
-    return attr in ("Lock", "RLock", "Condition", "Semaphore",
-                    "BoundedSemaphore")
-
-
 def _module_rooted(expr: ast.AST, module: ModuleInfo) -> bool:
     """True when an attribute chain is rooted at an imported module
     (``os.path.join`` — an external call, never an in-repo method)."""
@@ -236,9 +196,7 @@ class CodeIndex:
         self.functions: List[FunctionInfo] = []
         self.by_name: Dict[str, List[FunctionInfo]] = {}
         self.subclasses: Dict[str, List[str]] = {}
-        self.worker_roots: List[FunctionInfo] = []
         self.signal_roots: List[FunctionInfo] = []
-        self.barrier_roots: List[FunctionInfo] = []
         self.parse_failures: List[Tuple[str, int, str]] = []
 
     # -- class/method resolution -------------------------------------------
@@ -335,17 +293,17 @@ class CodeIndex:
 
     def traversable(self, targets: List[FunctionInfo],
                     strong: bool) -> List[FunctionInfo]:
-        """The targets a context/effect fixpoint may follow: every
-        typed edge, or a name-fallback edge iff the name is unique."""
+        """The targets a reachability walk may follow: every typed edge,
+        or a name-fallback edge iff the name is unique."""
         if strong:
             return targets
         return targets if len(targets) == 1 else []
 
-    # -- resolved refs (worker/signal roots) --------------------------------
+    # -- resolved refs (signal roots) ---------------------------------------
 
     def resolve_ref(self, fn: FunctionInfo,
                     ref: ast.expr) -> List[FunctionInfo]:
-        """A function reference passed to submit()/Thread()/signal()."""
+        """A function reference passed to ``signal.signal()``."""
         if isinstance(ref, ast.Attribute):
             receiver_t = _expr_type(ref.value, fn, self)
             if receiver_t and not receiver_t.startswith("["):
@@ -397,7 +355,7 @@ def _expr_type(expr: ast.AST, fn: FunctionInfo, index: CodeIndex) -> str:
 
 
 # ---------------------------------------------------------------------------
-# class contracts (GUARDED_BY / EPOCH_BARRIERS / attribute types)
+# class contracts (GUARDED_BY / attribute types)
 # ---------------------------------------------------------------------------
 
 def _scan_class_contract(cls: ClassInfo, node: ast.ClassDef) -> None:
@@ -411,20 +369,14 @@ def _scan_class_contract(cls: ClassInfo, node: ast.ClassDef) -> None:
         if not (isinstance(item, ast.Assign) and len(item.targets) == 1
                 and isinstance(item.targets[0], ast.Name)):
             continue
-        target = item.targets[0].id
-        if target == "GUARDED_BY" and isinstance(item.value, ast.Dict):
+        if item.targets[0].id == "GUARDED_BY" and \
+                isinstance(item.value, ast.Dict):
             for key, value in zip(item.value.keys, item.value.values):
                 if isinstance(key, ast.Constant) and \
                         isinstance(value, ast.Constant) and \
                         isinstance(key.value, str) and \
                         isinstance(value.value, str):
                     cls.guarded_by[key.value] = value.value
-        elif target == "EPOCH_BARRIERS" and \
-                isinstance(item.value, (ast.Tuple, ast.List)):
-            names = tuple(e.value for e in item.value.elts
-                          if isinstance(e, ast.Constant)
-                          and isinstance(e.value, str))
-            cls.barriers = names
 
 
 def _scan_attr_types(cls: ClassInfo, index: CodeIndex) -> None:
@@ -513,8 +465,7 @@ def _walk_own(node: ast.AST):
 # ---------------------------------------------------------------------------
 
 class _FunctionScanner:
-    """One recursive pass over a body, carrying the held-lock set
-    through ``with`` statements."""
+    """One recursive pass over a body, recording stores and calls."""
 
     def __init__(self, fn: FunctionInfo, index: CodeIndex):
         self.fn = fn
@@ -526,86 +477,43 @@ class _FunctionScanner:
             if isinstance(decl, ast.Global):
                 self.fn.global_decls.update(decl.names)
         for stmt in self.fn.node.body:
-            self._walk(stmt, ())
+            self._walk(stmt)
 
-    # -- lock tokens ---------------------------------------------------------
-
-    def _lock_token(self, expr: ast.AST) -> Optional[str]:
-        if isinstance(expr, ast.Attribute):
-            owner_t = _expr_type(expr.value, self.fn, self.index)
-            is_lock = _lockish_name(expr.attr)
-            if owner_t and not owner_t.startswith("["):
-                cls = self.index.class_of(owner_t)
-                if cls is not None and not is_lock:
-                    is_lock = expr.attr in cls.guarded_by.values()
-                if is_lock:
-                    return f"{owner_t}.{expr.attr}"
-            if is_lock:
-                return f"?.{expr.attr}"
-            return None
-        if isinstance(expr, ast.Name):
-            if expr.id in self.module.module_locks or \
-                    _lockish_name(expr.id):
-                return f"{self.fn.rel_path}::{expr.id}"
-            return None
-        return None
-
-    # -- the walk ------------------------------------------------------------
-
-    def _walk(self, node: ast.AST, held: Tuple[str, ...]) -> None:
+    def _walk(self, node: ast.AST) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef, ast.Lambda)):
             return                              # separate scope
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            inner = held
-            for item in node.items:
-                token = self._lock_token(item.context_expr)
-                if token is not None:
-                    self.fn.acquires.append(Acquire(
-                        lock=token, held=frozenset(inner),
-                        line=item.context_expr.lineno))
-                    if token not in inner:
-                        inner = inner + (token,)
-                else:
-                    self._walk(item.context_expr, held)
-            for stmt in node.body:
-                self._walk(stmt, inner)
-            return
         if isinstance(node, ast.Assign):
             const = isinstance(node.value, ast.Constant)
             for target in node.targets:
-                self._record_store(target, held, op="assign", const=const)
-            self._walk(node.value, held)
+                self._record_store(target, op="assign", const=const)
+            self._walk(node.value)
             for target in node.targets:
                 for child in ast.iter_child_nodes(target):
-                    self._walk(child, held)
+                    self._walk(child)
             return
         if isinstance(node, ast.AugAssign):
-            self._record_store(node.target, held, op="aug")
-            self._walk(node.value, held)
+            self._record_store(node.target, op="aug")
+            self._walk(node.value)
             return
         if isinstance(node, ast.AnnAssign):
             if node.value is not None:
                 const = isinstance(node.value, ast.Constant)
-                self._record_store(node.target, held, op="assign",
-                                   const=const)
-                self._walk(node.value, held)
+                self._record_store(node.target, op="assign", const=const)
+                self._walk(node.value)
             return
         if isinstance(node, ast.Call):
-            self._record_call(node, held)
-            for child in ast.iter_child_nodes(node):
-                self._walk(child, held)
-            return
+            self._record_call(node)
         for child in ast.iter_child_nodes(node):
-            self._walk(child, held)
+            self._walk(child)
 
     # -- stores --------------------------------------------------------------
 
-    def _record_store(self, target: ast.AST, held: Tuple[str, ...],
-                      op: str, const: bool = False) -> None:
+    def _record_store(self, target: ast.AST, op: str,
+                      const: bool = False) -> None:
         if isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._record_store(element, held, op=op)
+                self._record_store(element, op=op)
             return
         item_store = False
         while isinstance(target, ast.Subscript):
@@ -622,7 +530,6 @@ class _FunctionScanner:
                 self._add_effect(Effect(
                     kind="global", owner=self.fn.rel_path,
                     name=target.id, op=effective_op, line=target.lineno,
-                    locks=frozenset(held),
                     const=const and not item_store))
             return
         if isinstance(target, ast.Attribute):
@@ -631,8 +538,7 @@ class _FunctionScanner:
                 owner = self.fn.cls.name if self.fn.cls else ""
                 self._add_effect(Effect(
                     kind="attr", owner=owner, name=target.attr,
-                    op=effective_op, line=target.lineno,
-                    locks=frozenset(held), via_self=True,
+                    op=effective_op, line=target.lineno, via_self=True,
                     const=const and not item_store))
                 return
             owner_t = _expr_type(base, self.fn, self.index)
@@ -641,20 +547,19 @@ class _FunctionScanner:
                 self._add_effect(Effect(
                     kind="attr", owner=owner_t, name=target.attr,
                     op=effective_op, line=target.lineno,
-                    locks=frozenset(held),
                     const=const and not item_store))
 
     # -- calls ---------------------------------------------------------------
 
-    def _record_call(self, node: ast.Call, held: Tuple[str, ...]) -> None:
+    def _record_call(self, node: ast.Call) -> None:
         func = node.func
-        self._maybe_register_root(node)
+        self._maybe_register_handler(node)
         if isinstance(func, ast.Name):
             if func.id in _BUILTIN_NAMES:
                 return
             self.fn.calls.append(CallSite(
                 scope="name", name=func.id, type_name="",
-                line=node.lineno, locks=frozenset(held)))
+                line=node.lineno))
             return
         if not isinstance(func, ast.Attribute):
             return
@@ -663,28 +568,27 @@ class _FunctionScanner:
                 and _module_rooted(func.value, self.module)):
             return                              # os.path.join(...) etc.
         if func.attr in MUTATOR_METHODS:
-            self._record_mutator(func, held)
+            self._record_mutator(func)
             return
         base = func.value
         if isinstance(base, ast.Name) and base.id == "self" and \
                 self.fn.cls is not None:
             self.fn.calls.append(CallSite(
                 scope="self", name=func.attr, type_name="",
-                line=node.lineno, locks=frozenset(held)))
+                line=node.lineno))
             return
         receiver_t = _expr_type(base, self.fn, self.index)
         if receiver_t and not receiver_t.startswith("[") and \
                 self.index.class_of(receiver_t) is not None:
             self.fn.calls.append(CallSite(
                 scope="type", name=func.attr, type_name=receiver_t,
-                line=node.lineno, locks=frozenset(held)))
+                line=node.lineno))
             return
         self.fn.calls.append(CallSite(
             scope="attr", name=func.attr, type_name="",
-            line=node.lineno, locks=frozenset(held)))
+            line=node.lineno))
 
-    def _record_mutator(self, func: ast.Attribute,
-                        held: Tuple[str, ...]) -> None:
+    def _record_mutator(self, func: ast.Attribute) -> None:
         recv = func.value
         while isinstance(recv, ast.Subscript):
             recv = recv.value
@@ -694,8 +598,7 @@ class _FunctionScanner:
                 owner = self.fn.cls.name if self.fn.cls else ""
                 self._add_effect(Effect(
                     kind="attr", owner=owner, name=recv.attr,
-                    op="mutate", line=func.lineno,
-                    locks=frozenset(held), via_self=True,
+                    op="mutate", line=func.lineno, via_self=True,
                     detail=func.attr))
                 return
             owner_t = _expr_type(base, self.fn, self.index)
@@ -703,8 +606,7 @@ class _FunctionScanner:
                     self.index.class_of(owner_t) is not None:
                 self._add_effect(Effect(
                     kind="attr", owner=owner_t, name=recv.attr,
-                    op="mutate", line=func.lineno,
-                    locks=frozenset(held), detail=func.attr))
+                    op="mutate", line=func.lineno, detail=func.attr))
             return
         if isinstance(recv, ast.Name):
             if recv.id in self.module.globals and \
@@ -712,24 +614,15 @@ class _FunctionScanner:
                 self._add_effect(Effect(
                     kind="global", owner=self.fn.rel_path,
                     name=recv.id, op="mutate", line=func.lineno,
-                    locks=frozenset(held), detail=func.attr))
+                    detail=func.attr))
                 return
             # A mutator on a typed module singleton (``CLAMPS.record``
             # is a call, not a mutator) — nothing else to record here.
             return
 
-    def _maybe_register_root(self, node: ast.Call) -> None:
+    def _maybe_register_handler(self, node: ast.Call) -> None:
         func = node.func
-        attr = func.attr if isinstance(func, ast.Attribute) else \
-            (func.id if isinstance(func, ast.Name) else "")
-        if attr == "submit" and node.args:
-            self.fn.worker_refs.append(node.args[0])
-        elif attr == "Thread":
-            target = next((kw.value for kw in node.keywords
-                           if kw.arg == "target"), None)
-            if target is not None:
-                self.fn.worker_refs.append(target)
-        elif attr == "signal" and isinstance(func, ast.Attribute) and \
+        if isinstance(func, ast.Attribute) and func.attr == "signal" and \
                 isinstance(func.value, ast.Name) and \
                 func.value.id == "signal" and len(node.args) >= 2:
             self.fn.signal_refs.append(node.args[1])
@@ -789,16 +682,9 @@ def build_index(paths: Optional[Sequence[str]] = None) -> CodeIndex:
     for fn in index.functions:
         _FunctionScanner(fn, index).scan()
 
-    # Execution-context roots.
     for fn in index.functions:
-        for ref in fn.worker_refs:
-            index.worker_roots.extend(index.resolve_ref(fn, ref))
         for ref in fn.signal_refs:
             index.signal_roots.extend(index.resolve_ref(fn, ref))
-    for cls in index.classes.values():
-        for name in cls.barriers:
-            if name in cls.methods:
-                index.barrier_roots.append(cls.methods[name])
     return index
 
 
@@ -813,10 +699,6 @@ def _collect_module(index: CodeIndex, module: ModuleInfo,
                 isinstance(node.targets[0], ast.Name):
             name = node.targets[0].id
             module.globals.add(name)
-            if _is_lock_ctor(node.value) or \
-                    (_lockish_name(name) and
-                     isinstance(node.value, ast.Call)):
-                module.module_locks.add(name)
             if isinstance(node.value, ast.Call):
                 func = node.value.func
                 ctor = func.id if isinstance(func, ast.Name) else \
@@ -884,88 +766,36 @@ def _direct_parent_scope(parent: ast.AST, child: ast.AST) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# fixpoints the rule layer runs
+# reachability the rule layer runs
 # ---------------------------------------------------------------------------
 
-def propagate_contexts(index: CodeIndex) -> Dict[FunctionInfo, Set[str]]:
-    """Worker / signal / barrier context sets, to a fixpoint over the
-    traversable call graph."""
-    contexts: Dict[FunctionInfo, Set[str]] = {}
-    worklist: List[FunctionInfo] = []
-
-    def seed(fns: List[FunctionInfo], ctx: str) -> None:
-        for fn in fns:
-            if ctx not in contexts.setdefault(fn, set()):
-                contexts[fn].add(ctx)
-                worklist.append(fn)
-
-    seed(index.worker_roots, CTX_WORKER)
-    seed(index.signal_roots, CTX_SIGNAL)
-    seed(index.barrier_roots, CTX_BARRIER)
-    while worklist:
-        fn = worklist.pop()
-        ctx = contexts.get(fn, set())
+def reachable(index: CodeIndex,
+              roots: Iterable[FunctionInfo]) -> List[FunctionInfo]:
+    """Every function reachable from ``roots`` over traversable edges,
+    the roots included, in discovery order."""
+    seen: Set[int] = set()
+    stack = list(roots)
+    out: List[FunctionInfo] = []
+    while stack:
+        fn = stack.pop()
+        if id(fn) in seen:
+            continue
+        seen.add(id(fn))
+        out.append(fn)
         for site in fn.calls:
             targets, strong = index.resolve_call(fn, site)
-            for callee in index.traversable(targets, strong):
-                have = contexts.setdefault(callee, set())
-                if not ctx <= have:
-                    have.update(ctx)
-                    worklist.append(callee)
-    return contexts
-
-
-def entry_locks(index: CodeIndex) -> Dict[FunctionInfo, FrozenSet[str]]:
-    """Locks provably held on *every* resolved call into a function
-    (one call level deep — lexical regions plus direct callers)."""
-    incoming: Dict[FunctionInfo, List[FrozenSet[str]]] = {}
-    for fn in index.functions:
-        for site in fn.calls:
-            targets, strong = index.resolve_call(fn, site)
-            for callee in index.traversable(targets, strong):
-                incoming.setdefault(callee, []).append(site.locks)
-    out: Dict[FunctionInfo, FrozenSet[str]] = {}
-    for fn, lock_sets in incoming.items():
-        held = frozenset(lock_sets[0])
-        for locks in lock_sets[1:]:
-            held &= locks
-        out[fn] = held
+            stack.extend(index.traversable(targets, strong))
     return out
 
 
-def transitive_acquires(index: CodeIndex
-                        ) -> Dict[FunctionInfo, FrozenSet[str]]:
-    """Every lock a function may acquire, directly or via callees."""
-    acq: Dict[FunctionInfo, Set[str]] = {
-        fn: {a.lock for a in fn.acquires} for fn in index.functions}
-    changed = True
-    while changed:
-        changed = False
-        for fn in index.functions:
-            for site in fn.calls:
-                targets, strong = index.resolve_call(fn, site)
-                for callee in index.traversable(targets, strong):
-                    extra = acq.get(callee, set()) - acq[fn]
-                    if extra:
-                        acq[fn].update(extra)
-                        changed = True
-    return {fn: frozenset(locks) for fn, locks in acq.items()}
+def signal_reachable(index: CodeIndex) -> Set[FunctionInfo]:
+    """Signal context: every registered handler and what it may call."""
+    return set(reachable(index, index.signal_roots))
 
 
 def transitive_effects(index: CodeIndex,
                        root: FunctionInfo) -> List[Tuple[FunctionInfo,
                                                          Effect]]:
     """Every effect reachable from ``root`` over traversable edges."""
-    seen: Set[int] = set()
-    stack = [root]
-    out: List[Tuple[FunctionInfo, Effect]] = []
-    while stack:
-        fn = stack.pop()
-        if id(fn) in seen:
-            continue
-        seen.add(id(fn))
-        out.extend((fn, effect) for effect in fn.effects)
-        for site in fn.calls:
-            targets, strong = index.resolve_call(fn, site)
-            stack.extend(index.traversable(targets, strong))
-    return out
+    return [(fn, effect) for fn in reachable(index, [root])
+            for effect in fn.effects]

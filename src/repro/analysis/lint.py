@@ -36,6 +36,12 @@ into machine-checked invariants:
   journals opened on a computed path (``events.jsonl`` live sink, the
   sampler) are outside the literal check — their loaders tolerate torn
   tails instead.
+* **EOF308** — an import of ``threading``, ``_thread`` or
+  ``concurrent.futures``.  The tree runs on one thread: campaign
+  parallelism comes from child processes, and the only context that
+  can preempt the coordinator is a signal handler.  That makes the
+  invariant the EOF4xx concurrency pass rests on — it reasons about
+  main and signal context only — a checked one.
 
 Exposed as ``eof-fuzz lint`` and run in CI; the suite asserts the tree
 is clean, so any new violation fails the build with its stable code.
@@ -47,7 +53,12 @@ import ast
 import os
 from typing import Iterable, List, Optional, Sequence
 
-from repro.analysis.diagnostics import AnalysisReport, SEV_ERROR, diag
+from repro.analysis.diagnostics import (
+    CODE_TABLE,
+    SEV_ERROR,
+    AnalysisReport,
+    diag,
+)
 
 #: Path fragments (relative, ``/``-separated) exempt from EOF301.
 NONDETERMINISM_ALLOWED = ("fuzz/rng.py", "obs/")
@@ -122,6 +133,9 @@ def _metric_registry() -> frozenset:
 
 #: Method names whose literal first argument names a metric (EOF306).
 _METRIC_FACTORIES = ("counter", "gauge", "histogram")
+
+#: Modules whose import would start a second thread (EOF308).
+THREADING_MODULES = ("threading", "_thread", "concurrent.futures")
 
 #: Filename suffixes that mark a persistent artifact (EOF307): parsed
 #: back by consumers, so a torn half-write is data loss.
@@ -201,6 +215,21 @@ def _open_write_mode(node: ast.Call) -> Optional[str]:
         return None
     mode = mode_node.value
     return mode if ("w" in mode or "x" in mode) else None
+
+
+def _threading_import(node: ast.AST) -> Optional[str]:
+    """The threading module an import statement names, or None."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        names = [f"{node.module}.{alias.name}" for alias in node.names]
+    else:
+        return None
+    for name in names:
+        for module in THREADING_MODULES:
+            if name == module or name.startswith(module + "."):
+                return module
+    return None
 
 
 def _lint_tree(tree: ast.AST, rel_path: str,
@@ -289,6 +318,14 @@ def _lint_tree(tree: ast.AST, rel_path: str,
                         where=f"{rel_path}:{node.lineno}",
                         severity=SEV_ERROR, artifact=artifact,
                         mode=mode))
+        threading_module = _threading_import(node)
+        if threading_module is not None:
+            diagnostics.append(diag(
+                "EOF308",
+                f"import of {threading_module} — the tree runs on one "
+                f"thread; parallel work belongs in a child process",
+                where=f"{rel_path}:{node.lineno}",
+                severity=SEV_ERROR, module=threading_module))
     return diagnostics
 
 
@@ -345,6 +382,7 @@ def lint_sources(paths: Optional[Sequence[str]] = None,
     if own_index and report_unused:
         report.extend(suppressions.unused_diagnostics(("EOF3",)))
     report.summary = {"lint.files": files,
-                      "lint.rules": 7,
+                      "lint.rules": sum(1 for code in CODE_TABLE
+                                        if code.startswith("EOF3")),
                       "lint.diagnostics": len(report.diagnostics)}
     return report

@@ -292,7 +292,7 @@ def make_campaign(target: TargetConfig, workers: int,
                   warm_start_dir: Optional[str] = None,
                   checkpoint_every: int = 4,
                   snapshots: bool = True,
-                  backend: str = "thread"):
+                  backend: str = "inline"):
     """Build (but do not run) one multi-board campaign orchestrator.
 
     Splitting construction from :meth:`~repro.farm.CampaignOrchestrator.run`
@@ -302,9 +302,10 @@ def make_campaign(target: TargetConfig, workers: int,
     with ``resume`` the campaign fast-forwards deterministically to the
     store's last committed epoch and continues.  ``warm_start_dir``
     pre-seeds the shared corpus from *another* campaign's store.
-    ``backend`` picks where workers execute (``thread`` or
-    ``process``); the process backend builds its engines in the child,
-    so ``worker_obs`` only applies to the thread backend.
+    ``backend`` picks where workers execute (``inline`` on the
+    coordinator thread, or ``process``); the process backend builds its
+    engines in the child, so ``worker_obs`` only applies to the inline
+    backend.
     """
     from repro.farm import (CampaignOptions, CampaignOrchestrator,
                             WorkerSpec)
@@ -328,7 +329,7 @@ def make_campaign(target: TargetConfig, workers: int,
         import_min_novelty=import_min_novelty,
         backend=backend)
     worker_spec = None
-    if backend != "thread":
+    if backend != "inline":
         worker_spec = WorkerSpec(target=target.name,
                                  snapshots=snapshots)
     store = None

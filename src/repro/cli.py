@@ -196,10 +196,10 @@ def _cmd_campaign(args) -> int:
             print(render_dashboard(
                 summary, ansi=sys.stdout.isatty()))
 
-    if args.backend != "thread" and worker_obs is not None:
+    if args.backend != "inline" and worker_obs is not None:
         # Remote workers build their engines in the child; per-worker
         # observability bundles cannot cross the transport.
-        print(f"note: per-worker traces need the thread backend; "
+        print(f"note: per-worker traces need the inline backend; "
               f"the {args.backend} backend writes campaign-level "
               f"artifacts only", file=sys.stderr)
         worker_obs = None
@@ -209,10 +209,11 @@ def _cmd_campaign(args) -> int:
           f"seed {args.seed} ...")
     # First SIGINT/SIGTERM asks for a clean stop at the next epoch
     # barrier (state checkpointed, exit code 3); a second one aborts
-    # hard.  The handler only sets a flag — all real work happens on
-    # the coordinator thread at the barrier.  Handlers go in *before*
-    # the store opens and the boards build, so an interrupt that lands
-    # during bring-up still honours the exit-code contract.
+    # hard: its KeyboardInterrupt unwinds the running epoch on the one
+    # coordinator thread.  The handler only sets a flag — all real work
+    # happens at the barrier.  Handlers go in *before* the store opens
+    # and the boards build, so an interrupt that lands during bring-up
+    # still honours the exit-code contract.
     stop_signals = []
     orchestrator = None
 
@@ -502,12 +503,14 @@ def main(argv=None) -> int:
     campaign_p.add_argument("--import-cap", type=int, default=2,
                             help="max cross-worker seeds imported per "
                                  "worker per sync epoch")
-    campaign_p.add_argument("--backend", default="thread",
+    campaign_p.add_argument("--backend", default="inline",
                             choices=BACKENDS,
-                            help="where workers execute: in-process "
-                                 "threads (default, the determinism "
-                                 "reference) or one child process per "
-                                 "board; both give the same campaign")
+                            help="where workers execute: inline on "
+                                 "the coordinator thread, one board "
+                                 "after another (default, the "
+                                 "determinism reference), or one child "
+                                 "process per board; both give the "
+                                 "same campaign")
     campaign_p.add_argument("--trace-dir", default=None,
                             help="write campaign artifacts plus "
                                  "worker-<i>/ trace subdirectories "

@@ -74,11 +74,10 @@ REC_EPOCH = "E"    # epoch commit: frontier delta + series row
 class CampaignStore:
     """Durable mirror of one campaign's shared state."""
 
-    #: Concurrency contract (EOF401/EOF405): the store is
-    #: single-threaded *by design* — it is driven from the CLI and the
-    #: orchestrator's epoch barrier only, never from a worker or a
+    #: Concurrency contract (EOF401/EOF405): the store is driven from
+    #: the CLI and the orchestrator's epoch barrier only, never from a
     #: signal handler.  ``@main`` makes the analyzer enforce exactly
-    #: that, instead of paying for a lock nothing contends on.
+    #: that.
     GUARDED_BY = {
         "config": "@main",
         "epoch": "@main",

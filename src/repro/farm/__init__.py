@@ -8,14 +8,14 @@ keeping the whole campaign deterministic given ``(campaign_seed,
 workers, sync_interval)``.
 
 Workers run behind the :class:`WorkerHandle` interface, each on one
-:class:`WorkerCore` (an engine plus its barrier bookkeeping): in
-process on a thread pool (the determinism reference) or one child
-process per board (journal-CRC frames over pipes) — selected by
-``CampaignOptions.backend``.
+:class:`WorkerCore` (an engine plus its barrier bookkeeping): inline
+on the coordinator thread, one board after another (the determinism
+reference), or one child process per board (journal-CRC frames over
+pipes) — selected by ``CampaignOptions.backend``.
 """
 
 from repro.farm.handles import (  # noqa: F401 (re-exported surface)
-    InThreadHandle,
+    InlineHandle,
     ProcessHandle,
     WorkerCore,
     WorkerHandle,
@@ -45,7 +45,7 @@ __all__ = [
     "CampaignOrchestrator",
     "CampaignResult",
     "CampaignState",
-    "InThreadHandle",
+    "InlineHandle",
     "ProcessHandle",
     "SeedProvenance",
     "TriagedCrash",

@@ -1,9 +1,9 @@
-"""Worker handles: one interface, a thread backend and a process backend.
+"""Worker handles: one interface, an inline backend and a process backend.
 
 The orchestrator drives every worker through one interface,
 :class:`WorkerHandle` — begin/join an epoch, inspect what the worker
 knows, deliver imports, collect the final result — so *where* the
-engine runs (a pool thread or a child process) is a transport
+engine runs (on the coordinator or in a child process) is a transport
 decision, not an orchestration one.
 
 Both backends run their board through one :class:`WorkerCore`: the
@@ -11,11 +11,11 @@ engine plus the barrier bookkeeping that turns an epoch into a delta
 (entries not yet offered, edges not yet reported, crashes past the
 last offset).
 
-* :class:`InThreadHandle` — the core lives in this process; its epoch
-  runs on the orchestrator's thread pool and its delta is taken on the
-  coordinator at the barrier.  This is the determinism reference:
-  fixed ``(campaign_seed, workers, sync_interval)`` campaigns stay
-  byte-identical.
+* :class:`InlineHandle` — the core lives in this process; its epoch
+  runs on the coordinator thread inside ``begin_epoch``, one board
+  after another, and its delta is taken at the barrier.  This is the
+  determinism reference: fixed ``(campaign_seed, workers,
+  sync_interval)`` campaigns stay byte-identical.
 * :class:`ProcessHandle` — the core lives in a child process
   (``python -m repro.farm.procworker``), epoch results exchanged as
   canonical-JSON frames over pipes under the journal's CRC discipline
@@ -24,12 +24,12 @@ last offset).
 The process handle mirrors the worker's offered/delivered digest sets
 and edge frontier on the coordinator, updating them from each epoch's
 *delta*.  At a barrier the mirror equals the live engine state the
-in-thread backend reads directly: pushes always precede pulls within a
+inline backend reads directly: pushes always precede pulls within a
 barrier, delivered imports only execute in the *next* epoch (so they
 arrive in the next delta), and a DONE worker's later deltas
 are empty.  That equality is what makes the process backend produce
 the same merged frontier, corpus digests and crash signatures as the
-in-thread reference — with O(delta) traffic.
+inline reference — with O(delta) traffic.
 
 A dead transport surfaces as :class:`WorkerLost`; the orchestrator
 degrades the board to quarantined instead of hanging the barrier.
@@ -86,7 +86,7 @@ class EpochOutcome:
     summary: Dict[str, int] = field(default_factory=dict)
     cycles: int = 0
     #: Bytes the epoch result cost on the wire (measured for the
-    #: process backend, computed-equivalent for the in-thread one).
+    #: process backend, computed-equivalent for the inline one).
     wire_bytes: int = 0
 
 
@@ -100,19 +100,19 @@ def encode_outcome(outcome: EpochOutcome) -> Dict[str, object]:
 class WorkerCore:
     """One engine plus the delta bookkeeping of its barriers.
 
-    Both backends run a board through this class: the in-thread handle
-    on the orchestrator's pool, the child process behind its pipe.
+    Both backends run a board through this class: the inline handle on
+    the coordinator thread, the child process behind its pipe.
     :meth:`run` is the epoch body and only runs the engine;
     :meth:`close_epoch` takes what is new since the last barrier.
     """
 
-    #: Concurrency contract (EOF401): barrier bookkeeping.  A pool
-    #: thread only ever executes :meth:`run`, which writes none of it.
+    #: Concurrency contract (EOF401): barrier bookkeeping, written on
+    #: the main thread only — never from the signal handler.
     GUARDED_BY = {
-        "_offered": "@barrier",
-        "_delivered": "@barrier",
-        "_reported_edges": "@barrier",
-        "_crash_offset": "@barrier",
+        "_offered": "@main",
+        "_delivered": "@main",
+        "_reported_edges": "@main",
+        "_crash_offset": "@main",
     }
 
     def __init__(self, engine: EofEngine, budget_cycles: int):
@@ -221,46 +221,32 @@ class WorkerHandle:
         raise NotImplementedError
 
 
-class InThreadHandle(WorkerHandle):
-    """The worker core runs in-process on the orchestrator's pool.
+class InlineHandle(WorkerHandle):
+    """The worker core runs in-process, on the coordinator thread.
 
-    Byte-identity with the pre-refactor orchestrator comes from keeping
-    its exact ordering: the epoch body (worker context) is
-    :meth:`WorkerCore.run`, which only runs the engine; the delta is
-    taken in :meth:`join_epoch` on the coordinator, at the barrier.
+    :meth:`begin_epoch` runs the engine to the epoch target there and
+    then; :meth:`join_epoch` takes the delta at the barrier.  Boards
+    therefore run one after another, in worker-index order.
     """
-
-    #: Concurrency contract (EOF401): coordinator bookkeeping, touched
-    #: only between epochs while the pool is joined — never from worker
-    #: or signal context.
-    GUARDED_BY = {"_future": "@barrier"}
 
     def __init__(self, index: int, engine: EofEngine,
                  worker_budget: int):
         super().__init__(index)
         self.engine = engine
         self.core = WorkerCore(engine, worker_budget)
-        #: The orchestrator's pool, installed before the first epoch.
-        self.executor = None
-        self._future = None
+        self._status = LIVE
 
     def begin_start(self) -> None:
-        # Boot happens here, sequentially with the other workers'
-        # begin_start calls: bring-up mutates per-board state only, but
-        # keeping it on one thread makes boot-order effects (shared
-        # build caches, clamp tallies) reproducible.
         self.engine.start()
 
     def join_start(self) -> None:
         return None
 
     def begin_epoch(self, epoch: int, target_cycles: int) -> None:
-        self._future = self.executor.submit(self.core.run, target_cycles)
+        self._status = self.core.run(target_cycles)
 
     def join_epoch(self) -> EpochOutcome:
-        status = self._future.result()
-        self._future = None
-        return self.core.close_epoch(status)
+        return self.core.close_epoch(self._status)
 
     def known_digests(self) -> Set[str]:
         return self.core.known_digests()
@@ -292,14 +278,14 @@ class _RemoteHandle(WorkerHandle):
     """
 
     #: Concurrency contract (EOF401): every field is coordinator-only
-    #: barrier bookkeeping, like the in-thread handle's.
+    #: barrier bookkeeping, like the worker core's.
     GUARDED_BY = {
-        "_known": "@barrier",
-        "_edges": "@barrier",
-        "_summary": "@barrier",
-        "_cycles": "@barrier",
-        "_lost_reason": "@barrier",
-        "_final": "@barrier",
+        "_known": "@main",
+        "_edges": "@main",
+        "_summary": "@main",
+        "_cycles": "@main",
+        "_lost_reason": "@main",
+        "_final": "@main",
     }
 
     def __init__(self, index: int, spec: WorkerSpec):
@@ -511,7 +497,7 @@ def build_worker_handles(workers: int, spec_template: WorkerSpec,
 def estimate_outcome_bytes(outcome: EpochOutcome) -> int:
     """Wire size the outcome *would* cost as a pipe frame.
 
-    Only the in-thread backend calls this (and only with observability
+    Only the inline backend calls this (and only with observability
     enabled): the process backend reports measured frame bytes instead.
     """
     return frame_size("epoch_result", encode_outcome(outcome))

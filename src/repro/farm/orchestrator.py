@@ -8,11 +8,12 @@ cross-worker seed imports, and the next epoch begins.
 
 Workers run behind the :class:`WorkerHandle` interface
 (:mod:`repro.farm.handles`), each on one :class:`WorkerCore`: the
-``thread`` backend keeps every engine in-process (the determinism
-reference), and ``process`` runs one engine per child process with
-epoch deltas framed over pipes.  The store stays coordinator-only
-under both backends, so persistence and resume are
-backend-independent.
+``inline`` backend runs every engine on the coordinator thread, one
+board after another (the determinism reference), and ``process`` runs
+one engine per child process with epoch deltas framed over pipes.  The
+coordinator is the only thread in the process under both backends, so
+the store and the shared state need no locks, and persistence and
+resume are backend-independent.
 
 Determinism argument
 --------------------
@@ -25,8 +26,8 @@ sync_interval)``:
   is already deterministic in virtual time;
 * the epoch barrier is a full join — shared-state merging happens on
   the coordinator thread in worker-index order, never concurrently with
-  execution — so neither thread scheduling nor process scheduling can
-  reorder any observable merge;
+  execution — so process scheduling cannot reorder any observable
+  merge;
 * sync points are **cycle-based** (epoch ``k`` ends at ``k *
   sync_interval`` virtual cycles per worker), never wall-clock-based;
 * both backends merge only *deltas* (new seeds, new edges, new
@@ -41,16 +42,14 @@ with the remaining workers instead of hanging the barrier.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from repro.farm.handles import (
     ABORTED,
-    DONE,
     LIVE,
     EpochOutcome,
-    InThreadHandle,
+    InlineHandle,
     WorkerHandle,
     WorkerLost,
     build_worker_handles,
@@ -67,12 +66,9 @@ from repro.obs import NULL_OBS, Observability
 if TYPE_CHECKING:
     from repro.db.store import CampaignStore
 
-#: Worker liveness states across epochs (shared with the handles).
-_LIVE, _DONE, _ABORTED = LIVE, DONE, ABORTED
-
 #: The campaign backends ``--backend`` may name, with the numeric code
 #: the ``farm.backend`` gauge reports.
-BACKENDS = ("thread", "process")
+BACKENDS = ("inline", "process")
 
 #: Sync-delta size buckets, in bytes: a lone seed frame lands in the
 #: low hundreds, a busy epoch in the tens of KiB, and anything past a
@@ -125,10 +121,11 @@ class CampaignOptions:
     #: Minimum new-to-local edges a seed must carry to be worth
     #: importing onto this worker's board.
     import_min_novelty: int = 2
-    #: Where worker engines execute: ``thread`` (in-process, the
-    #: determinism reference) or ``process`` (one child process per
-    #: board, pipe frames).  Both backends replay the same campaign.
-    backend: str = "thread"
+    #: Where worker engines execute: ``inline`` (on the coordinator
+    #: thread, the determinism reference) or ``process`` (one child
+    #: process per board, pipe frames).  Both backends replay the same
+    #: campaign.
+    backend: str = "inline"
 
 
 @dataclass
@@ -186,24 +183,16 @@ class CampaignOrchestrator:
 
     #: Concurrency contract (EOF401/EOF405).  ``@atomic`` — the stop
     #: flag is written from the CLI signal handler and read at the
-    #: barrier, so writes must stay single constant stores (GIL-atomic).
-    #: ``@barrier`` — coordinator bookkeeping touched only between
-    #: epochs, while every worker future has been joined; never from
-    #: worker or signal context.
+    #: barrier, so writes must stay single constant stores.  ``@main``
+    #: — coordinator bookkeeping, never written from signal context.
     GUARDED_BY = {
         "_stop_requested": "@atomic",
-        "_interrupted": "@barrier",
-        "_last_imported": "@barrier",
-        "_last_delta_bytes": "@barrier",
-        "_status": "@barrier",
-        "_lost": "@barrier",
-        "_epochs_run": "@barrier",
+        "_interrupted": "@main",
+        "_last_imported": "@main",
+        "_status": "@main",
+        "_lost": "@main",
+        "_epochs_run": "@main",
     }
-
-    #: Methods that *are* the epoch barrier: every worker future has
-    #: been joined when they run, so EOF405 permits cross-object
-    #: mutation (e.g. folding store state back into ``state``) here.
-    EPOCH_BARRIERS = ("_sync", "_persist_epoch")
 
     def __init__(self, factory: Optional[EngineFactory],
                  options: Optional[CampaignOptions] = None,
@@ -228,7 +217,6 @@ class CampaignOrchestrator:
         self._stop_requested = False
         self._interrupted = False
         self._last_imported = 0
-        self._last_delta_bytes = 0
         self.state = CampaignState()
         if warm_entries:
             self.state.warm_start(warm_entries)
@@ -238,16 +226,15 @@ class CampaignOrchestrator:
         seeds = [derive_worker_seed(self.options.campaign_seed, index)
                  for index in range(self.options.workers)]
         self.engines: List[EofEngine] = []
-        if self.options.backend == "thread":
+        if self.options.backend == "inline":
             if factory is None:
                 raise ValueError(
-                    "the thread backend needs an engine factory")
+                    "the inline backend needs an engine factory")
             handles: List[WorkerHandle] = []
             for index in range(self.options.workers):
                 engine = factory(index, seeds[index], per_worker)
                 self.engines.append(engine)
-                handles.append(InThreadHandle(index, engine,
-                                              per_worker))
+                handles.append(InlineHandle(index, engine, per_worker))
             self.handles = handles
         else:
             if worker_spec is None:
@@ -256,7 +243,7 @@ class CampaignOrchestrator:
                     f"worker spec template")
             self.handles = build_worker_handles(
                 self.options.workers, worker_spec, seeds, per_worker)
-        self._status = [_LIVE for _ in self.handles]
+        self._status = [LIVE for _ in self.handles]
         self._lost: Set[int] = set()
         self._epochs_run = 0
         #: Optional live-dashboard callback, invoked on the coordinator
@@ -282,45 +269,40 @@ class CampaignOrchestrator:
                               backend=opts.backend)
                 self.obs.gauge("farm.backend").set(
                     BACKENDS.index(opts.backend))
-            if opts.backend == "thread":
-                with ThreadPoolExecutor(max_workers=opts.workers) \
-                        as pool:
-                    for handle in self.handles:
-                        handle.executor = pool
-                    self._epoch_loop()
-            else:
-                self._epoch_loop()
+            self._epoch_loop()
             return self._collect()
         finally:
             for handle in self.handles:
                 handle.close()
 
     def _start_workers(self) -> None:
-        """Boot every worker; remote boots overlap, in-thread boots run
-        sequentially inside ``begin_start`` (reproducible boot-order
-        effects are part of the determinism reference)."""
+        """Boot every worker; remote boots overlap, inline boots run
+        one after another inside ``begin_start``."""
         for index, handle in enumerate(self.handles):
             try:
                 handle.begin_start()
             except WorkerLost as lost:
                 self._mark_lost(0, lost)
         for index, handle in enumerate(self.handles):
-            if self._status[index] != _LIVE:
+            if self._status[index] != LIVE:
                 continue
             try:
                 handle.join_start()
             except WorkerLost as lost:
                 self._mark_lost(0, lost)
-        if all(status == _ABORTED for status in self._status):
+        if all(status == ABORTED for status in self._status):
             raise RuntimeError("every campaign worker failed to start")
 
     def _epoch_loop(self) -> None:
-        while any(status == _LIVE for status in self._status):
+        while any(status == LIVE for status in self._status):
             self._epochs_run += 1
             epoch = self._epochs_run
             target = self._epoch_target(epoch)
             live = [index for index in range(len(self.handles))
-                    if self._status[index] == _LIVE]
+                    if self._status[index] == LIVE]
+            # Begin every board before joining any, so process children
+            # run their epochs in parallel; inline boards run right here,
+            # one after another.
             began = []
             for index in live:
                 try:
@@ -358,7 +340,7 @@ class CampaignOrchestrator:
 
     def _mark_lost(self, epoch: int, lost: WorkerLost) -> None:
         """Degrade a dead transport to a quarantined board."""
-        self._status[lost.index] = _ABORTED
+        self._status[lost.index] = ABORTED
         self._lost.add(lost.index)
         if self.obs.enabled:
             self.obs.counter("farm.workers.lost").inc()
@@ -387,14 +369,13 @@ class CampaignOrchestrator:
     def _sync(self, epoch: int,
               outcomes: Dict[int, EpochOutcome]) -> None:
         """Merge worker outcomes into the campaign, in worker order,
-        then deliver imports.  Runs on the coordinator thread only."""
-        delta_bytes = 0
+        then deliver imports."""
         with self.obs.span("sync"):
             for index in sorted(outcomes):
                 self._push_outcome(index, epoch, outcomes[index])
             imported_total = 0
             for index, handle in enumerate(self.handles):
-                if self._status[index] != _LIVE:
+                if self._status[index] != LIVE:
                     continue
                 imported_total += self._pull_worker(index, handle)
         if self.obs.enabled:
@@ -407,22 +388,19 @@ class CampaignOrchestrator:
                                            buckets=DELTA_BYTE_BUCKETS)
             for index in sorted(outcomes):
                 outcome = outcomes[index]
-                size = outcome.wire_bytes or \
-                    estimate_outcome_bytes(outcome)
-                delta_bytes += size
-                histogram.record(size)
+                histogram.record(outcome.wire_bytes or
+                                 estimate_outcome_bytes(outcome))
             self.obs.emit("farm.epoch", epoch=epoch,
                           merged_edges=len(self.state.edges),
                           shared_seeds=len(self.state.corpus),
                           imported=imported_total,
                           live_workers=sum(
                               1 for status in self._status
-                              if status == _LIVE))
+                              if status == LIVE))
         # The campaign-level time series samples at every barrier: one
         # row per epoch, timestamped with the epoch's target cycles (a
         # pure function of epoch and sync_interval, so replays match).
         self._last_imported = imported_total
-        self._last_delta_bytes = delta_bytes
         summary = None
         if self.obs.sampler is not None or self.epoch_hook is not None:
             summary = self._epoch_summary(epoch, imported_total)
@@ -478,7 +456,7 @@ class CampaignOrchestrator:
             "shared": len(self.state.corpus),
             "imported": imported,
             "live": sum(1 for status in self._status
-                        if status == _LIVE),
+                        if status == LIVE),
             "workers_total": len(self.handles),
             "workers": workers,
         }
@@ -542,7 +520,7 @@ class CampaignOrchestrator:
                 self.obs.emit("farm.worker.done", worker=index,
                               edges=result.edges,
                               programs=result.stats.programs_executed,
-                              aborted=self._status[index] == _ABORTED)
+                              aborted=self._status[index] == ABORTED)
         stats = CampaignStats(
             workers=[result.stats for result in results],
             merged_edges=len(self.state.edges),
@@ -552,7 +530,7 @@ class CampaignOrchestrator:
             seeds_shared=self.state.seeds_shared,
             seeds_imported=self.state.seeds_imported,
             aborted_workers=sum(1 for status in self._status
-                                if status == _ABORTED),
+                                if status == ABORTED),
             resumed_from_epoch=self._resume_epoch,
             interrupted=self._interrupted)
         if self.store is not None:

@@ -8,8 +8,8 @@ wire protocol over stdin/stdout — ``hello``/``start``, then one
 the final stats, ``exit``.
 
 The child runs its board through the same
-:class:`~repro.farm.handles.WorkerCore` the in-thread backend uses, so
-an epoch result carries exactly the delta an in-thread barrier takes,
+:class:`~repro.farm.handles.WorkerCore` the inline backend uses, so
+an epoch result carries exactly the delta an inline barrier takes,
 so wire traffic scales with the delta, not the corpus.  This module only
 builds the engine from the spec and encodes the replies.
 ``sys.stdout`` is rebound to stderr before the engine boots so stray
@@ -31,7 +31,7 @@ from repro.spec.llmgen import generate_validated_specs
 
 
 def build_engine(spec: WorkerSpec) -> EofEngine:
-    """Build and boot the spec's engine, as the thread backend's
+    """Build and boot the spec's engine, as the inline backend's
     engine factory does."""
     build = build_firmware(get_target(spec.target).build_config())
     engine = EofEngine(build, generate_validated_specs(build),

@@ -12,15 +12,11 @@ campaign (§5's parallel-board setup).  It holds
   across workers, with per-signature observation counts.
 
 The orchestrator merges into it on the coordinator thread, in
-worker-index order, at each epoch barrier.  The locks keep it safe for
-any other caller: the corpus and the frontier share one lock, because
-admission tests a seed against the frontier and then merges its
-footprint; the crash table has its own.
+worker-index order, at each epoch barrier.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Set
 
@@ -48,26 +44,9 @@ class TriagedCrash:
 
 
 class CampaignState:
-    """Thread-safe shared state of one fuzzing campaign."""
-
-    #: Machine-checked concurrency contract (EOF401/EOF405).  The
-    #: frontier lock guards the edge set, the shared corpus, provenance
-    #: and the sync counters; the crash table has its own lock.  Barrier
-    #: regions get no free pass here: ``pull``/``push`` may run mid-epoch
-    #: too.
-    GUARDED_BY = {
-        "edges": "_frontier_lock",
-        "corpus": "_frontier_lock",
-        "provenance": "_frontier_lock",
-        "seeds_shared": "_frontier_lock",
-        "seeds_imported": "_frontier_lock",
-        "seeds_warmed": "_frontier_lock",
-        "crashes": "_crash_lock",
-    }
+    """Shared state of one fuzzing campaign."""
 
     def __init__(self, max_corpus: int = MAX_CORPUS) -> None:
-        self._frontier_lock = threading.Lock()
-        self._crash_lock = threading.Lock()
         self.edges: Set[int] = set()
         #: Resident seeds in admission order; past ``max_corpus`` the
         #: corpus evicts the lowest-weight seed (earliest admitted on
@@ -81,17 +60,11 @@ class CampaignState:
 
     # -- coverage -----------------------------------------------------------
 
-    @property
-    def merged_edge_count(self) -> int:
-        with self._frontier_lock:
-            return len(self.edges)
-
     def merge_edges(self, edges: Iterable[int]) -> int:
         """Fold one worker's frontier in; returns newly-global edges."""
-        with self._frontier_lock:
-            before = len(self.edges)
-            self.edges.update(edges)
-            return len(self.edges) - before
+        before = len(self.edges)
+        self.edges.update(edges)
+        return len(self.edges) - before
 
     # -- corpus sync --------------------------------------------------------
 
@@ -108,20 +81,19 @@ class CampaignState:
         the push order is the dedup order.
         """
         admitted = 0
-        with self._frontier_lock:
-            for entry in entries:
-                if entry.digest and entry.digest in self.corpus:
-                    continue
-                novel = bool(entry.edge_footprint - self.edges)
-                if not (novel or entry.crashed):
-                    continue
-                if self.corpus.import_entry(entry) is None:
-                    continue
-                self.provenance[entry.digest] = SeedProvenance(
-                    worker=worker, epoch=epoch)
-                self.edges.update(entry.edge_footprint)
-                self.seeds_shared += 1
-                admitted += 1
+        for entry in entries:
+            if entry.digest and entry.digest in self.corpus:
+                continue
+            novel = bool(entry.edge_footprint - self.edges)
+            if not (novel or entry.crashed):
+                continue
+            if self.corpus.import_entry(entry) is None:
+                continue
+            self.provenance[entry.digest] = SeedProvenance(
+                worker=worker, epoch=epoch)
+            self.edges.update(entry.edge_footprint)
+            self.seeds_shared += 1
+            admitted += 1
         return admitted
 
     def pull(self, worker: int, known_digests: Set[str],
@@ -138,21 +110,20 @@ class CampaignState:
         import cap spends replay budget on the most frontier-advancing
         seeds first.
         """
-        with self._frontier_lock:
-            ranked = []
-            for index, entry in enumerate(self.corpus.entries):
-                provenance = self.provenance.get(entry.digest)
-                if provenance is None or provenance.worker == worker:
-                    continue
-                if entry.digest in known_digests:
-                    continue
-                novelty = len(entry.edge_footprint - local_edges)
-                if novelty < max(min_novelty, 1):
-                    continue
-                ranked.append((-novelty, index, entry))
-            ranked.sort(key=lambda item: item[:2])
-            out = [entry for _, _, entry in ranked[:limit]]
-            self.seeds_imported += len(out)
+        ranked = []
+        for index, entry in enumerate(self.corpus.entries):
+            provenance = self.provenance.get(entry.digest)
+            if provenance is None or provenance.worker == worker:
+                continue
+            if entry.digest in known_digests:
+                continue
+            novelty = len(entry.edge_footprint - local_edges)
+            if novelty < max(min_novelty, 1):
+                continue
+            ranked.append((-novelty, index, entry))
+        ranked.sort(key=lambda item: item[:2])
+        out = [entry for _, _, entry in ranked[:limit]]
+        self.seeds_imported += len(out)
         return out
 
     def warm_start(self, entries: Iterable[CorpusEntry]) -> int:
@@ -166,14 +137,13 @@ class CampaignState:
         deliver the warm seeds in the first place.
         """
         count = 0
-        with self._frontier_lock:
-            for entry in entries:
-                if self.corpus.import_entry(entry) is None:
-                    continue
-                self.provenance[entry.digest] = SeedProvenance(
-                    worker=-1, epoch=0)
-                self.seeds_warmed += 1
-                count += 1
+        for entry in entries:
+            if self.corpus.import_entry(entry) is None:
+                continue
+            self.provenance[entry.digest] = SeedProvenance(
+                worker=-1, epoch=0)
+            self.seeds_warmed += 1
+            count += 1
         return count
 
     # -- crash triage -------------------------------------------------------
@@ -182,23 +152,20 @@ class CampaignState:
                      report: CrashReport) -> bool:
         """Merge one worker's unique crash; True if campaign-new."""
         signature = report.signature()
-        with self._crash_lock:
-            triaged = self.crashes.get(signature)
-            if triaged is not None:
-                triaged.count += 1
-                triaged.workers.add(worker)
-                return False
-            self.crashes[signature] = TriagedCrash(
-                report=report, first_worker=worker, first_epoch=epoch,
-                workers={worker})
-            return True
+        triaged = self.crashes.get(signature)
+        if triaged is not None:
+            triaged.count += 1
+            triaged.workers.add(worker)
+            return False
+        self.crashes[signature] = TriagedCrash(
+            report=report, first_worker=worker, first_epoch=epoch,
+            workers={worker})
+        return True
 
     def crash_signatures(self) -> List[str]:
         """Campaign-unique crash signatures, first-seen order."""
-        with self._crash_lock:
-            return list(self.crashes)
+        return list(self.crashes)
 
     def snapshot_digests(self) -> List[str]:
         """Shared-corpus content hashes, insertion order."""
-        with self._frontier_lock:
-            return self.corpus.digests()
+        return self.corpus.digests()

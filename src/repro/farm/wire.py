@@ -50,7 +50,7 @@ class WorkerSpec:
 
     The coordinator derives ``index``/``seed``/``budget_cycles`` per
     worker from the campaign options (the same splitmix64 derivation
-    the in-thread backend uses), so a campaign stays a pure function of
+    the inline backend uses), so a campaign stays a pure function of
     ``(campaign_seed, workers, sync_interval)`` no matter where its
     engines run.
     """
@@ -199,7 +199,7 @@ def decode_epoch_result(payload: Dict[str, object]
 def frame_size(kind: str, payload: Dict[str, object]) -> int:
     """Pipe-frame size of one message without shipping it.
 
-    The in-thread backend uses this to report the *would-be* sync delta
+    The inline backend uses this to report the *would-be* sync delta
     bytes, so the ``farm.sync.delta.bytes`` histogram is comparable
     across backends.
     """

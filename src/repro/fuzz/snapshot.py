@@ -31,9 +31,9 @@ it back by rewriting only what changed.
   a snapshot taken against an older image refuses to restore (the RAM
   image would disagree with what the new image boots into).
 
-Concurrency: a manager is owned by exactly one engine/worker thread and
-shares no state across workers — campaign fleets get one manager per
-board (see ``repro.farm``), so there is nothing to lock.
+Ownership: a manager is owned by exactly one engine and shares no state
+across workers — campaign fleets get one manager per board (see
+``repro.farm``).
 
 Why the generation word + canary verify suffices: the substrate's RAM
 only mutates through the link (which the dirty log watches) or while

@@ -10,7 +10,6 @@ module (Table 4 confines instrumentation to the HTTP and JSON modules).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
@@ -22,28 +21,19 @@ class ClampCounter:
     clamping quietly corrupts coverage attribution.  The tally feeds the
     ``sites.clamped`` metric and the static analyzer's ``EOF203``
     diagnostic, making every occurrence visible.
-
-    The module-level :data:`CLAMPS` instance is shared by every farm
-    worker thread (each in-thread engine calls :meth:`SiteInfo.site`),
-    so the tally is locked — ``count += 1`` is a read-modify-write.
     """
 
-    GUARDED_BY = {"count": "_lock", "by_symbol": "_lock"}
-
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self.count = 0
         self.by_symbol: Dict[str, int] = {}
 
     def record(self, symbol: str) -> None:
-        with self._lock:
-            self.count += 1
-            self.by_symbol[symbol] = self.by_symbol.get(symbol, 0) + 1
+        self.count += 1
+        self.by_symbol[symbol] = self.by_symbol.get(symbol, 0) + 1
 
     def reset(self) -> None:
-        with self._lock:
-            self.count = 0
-            self.by_symbol.clear()
+        self.count = 0
+        self.by_symbol.clear()
 
 
 #: Shared tally; :meth:`SiteInfo.site` records into it on every clamp.

@@ -15,7 +15,6 @@ the §5.5 overhead numbers must not be perturbed by observability.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -88,28 +87,18 @@ class Sink:
 
 
 class JsonlSink(Sink):
-    """Append events to a JSON-lines file, one object per line.
-
-    A campaign-wide sink sees events from every worker thread, so the
-    write + line tally is serialized: interleaved ``fh.write`` calls
-    would tear JSON lines mid-record, and ``lines += 1`` is a
-    read-modify-write.  The payload is serialized outside the lock.
-    """
-
-    GUARDED_BY = {"lines": "_lock"}
+    """Append events to a JSON-lines file, one object per line."""
 
     def __init__(self, path):
         self.path = str(path)
         self._fh = open(self.path, "w", encoding="utf-8")
-        self._lock = threading.Lock()
         self.lines = 0
 
     def emit(self, event: Event) -> None:
         payload = json.dumps(event.to_dict(), separators=(",", ":"),
                              default=str)
-        with self._lock:
-            self._fh.write(payload + "\n")
-            self.lines += 1
+        self._fh.write(payload + "\n")
+        self.lines += 1
 
     def close(self) -> None:
         if not self._fh.closed:
@@ -117,30 +106,19 @@ class JsonlSink(Sink):
 
 
 class RingBufferSink(Sink):
-    """Keep the most recent ``capacity`` events in memory.
-
-    Locked for the same reason as :class:`JsonlSink`: one ring may be
-    attached to a campaign-wide bus that workers emit into
-    concurrently, and ``total += 1`` plus the deque append must stay
-    consistent with each other.
-    """
-
-    GUARDED_BY = {"events": "_lock", "total": "_lock"}
+    """Keep the most recent ``capacity`` events in memory."""
 
     def __init__(self, capacity: int = 4096):
-        self._lock = threading.Lock()
         self.events: Deque[Event] = deque(maxlen=capacity)
         self.total = 0
 
     def emit(self, event: Event) -> None:
-        with self._lock:
-            self.events.append(event)
-            self.total += 1
+        self.events.append(event)
+        self.total += 1
 
     def named(self, name: str) -> List[Event]:
         """All buffered events with a given name, oldest first."""
-        with self._lock:
-            return [event for event in self.events if event.name == name]
+        return [event for event in self.events if event.name == name]
 
 
 class EventBus:

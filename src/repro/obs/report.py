@@ -219,8 +219,7 @@ def render_report(data: dict, profile: Optional[dict] = None) -> str:
             lines.append("  diagnostics: none")
         summary = analysis.get("summary", {})
         for key in ("reach.edge_universe", "conc.classes_guarded",
-                    "conc.worker_functions", "conc.signal_handlers",
-                    "conc.lock_edges"):
+                    "conc.signal_handlers"):
             if key in summary:
                 lines.append(f"  {key:22}: {summary[key]}")
         sections.append("\n".join(lines))

@@ -1,37 +1,37 @@
 """Clean fixture: every guarded write is disciplined.
 
-Lock-guarded writes stay inside ``with self._lock:``; the ``@atomic``
-flag only ever receives whole constant stores; the external mutation in
-``locked_drain`` holds the object's declared lock.  Zero diagnostics.
+The ``@atomic`` stop flag only ever receives whole constant stores —
+from the signal handler and from outside its class alike; the ``@main``
+tally is bumped on the main thread only, never from signal context.
+Zero diagnostics.
 """
 
-import threading
+import signal
 
 
-class Tally:
-    GUARDED_BY = {"count": "_lock", "stopping": "@atomic"}
+class Run:
+    GUARDED_BY = {"stopping": "@atomic", "tally": "@main"}
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self.count = 0
         self.stopping = False
-
-    def bump(self):
-        with self._lock:
-            self.count += 1
+        self.tally = 0
 
     def stop(self):
         self.stopping = True
 
-
-def locked_drain(tally: Tally):
-    with tally._lock:
-        tally.count = 0
+    def step(self):
+        self.tally += 1
 
 
-def run():
-    tally = Tally()
-    thread = threading.Thread(target=tally.bump)
-    thread.start()
-    thread.join()
-    tally.stop()
+RUN = Run()
+
+
+def _on_int(signum, frame):
+    RUN.stop()
+
+
+def main():
+    RUN.stopping = False
+    signal.signal(signal.SIGINT, _on_int)
+    while not RUN.stopping:
+        RUN.step()

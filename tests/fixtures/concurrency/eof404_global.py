@@ -1,19 +1,19 @@
-"""EOF404 fixture: a module global mutated from worker context.
+"""EOF404 fixture: a module global mutated from signal context.
 
-``worker`` is a ``threading.Thread`` target and appends to the
-module-level ``RESULTS`` list with no module lock held.  Exactly one
-EOF404.
+``_on_term`` is a signal handler and appends to the module-level
+``SEEN`` list.  An append is inside the EOF403 whitelist, so the
+handler's effect shape passes; writing module state from signal
+context does not.  Exactly one EOF404.
 """
 
-import threading
+import signal
 
-RESULTS = []
-
-
-def worker():
-    RESULTS.append(1)
+SEEN = []
 
 
-def start():
-    thread = threading.Thread(target=worker)
-    thread.start()
+def _on_term(signum, frame):
+    SEEN.append(signum)
+
+
+def install():
+    signal.signal(signal.SIGTERM, _on_term)

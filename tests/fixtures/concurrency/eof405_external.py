@@ -1,20 +1,17 @@
-"""EOF405 fixture: guarded state mutated from outside its class.
+"""EOF405 fixture: an ``@atomic`` list cleared from outside its class.
 
-``drain`` clears ``Shared.items`` through a typed parameter without
-holding the declared lock, and is neither a barrier region nor
-lock-entered.  Exactly one EOF405.
+``Pending.items`` declares ``GUARDED_BY @atomic``, yet ``drain``
+clears it in place through a typed parameter — a mutation, not a whole
+constant store.  Exactly one EOF405.
 """
 
-import threading
 
-
-class Shared:
-    GUARDED_BY = {"items": "_lock"}
+class Pending:
+    GUARDED_BY = {"items": "@atomic"}
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.items = []
 
 
-def drain(shared: Shared):
-    shared.items.clear()
+def drain(pending: Pending):
+    pending.items.clear()

@@ -358,6 +358,20 @@ class TestDeterminismLint:
             "        fh.write(b'x')\n")
         assert lint_sources([str(tmp_path)]).clean
 
+    def test_threading_import_flagged(self, tmp_path):
+        bad = tmp_path / "pool.py"
+        bad.write_text(
+            "import signal\n"
+            "import threading\n"
+            "import _thread\n"
+            "from concurrent.futures import Future\n"
+            "from concurrent import futures\n")
+        report = lint_sources([str(bad)])
+        assert report.codes() == ["EOF308"]
+        assert [dict(d.data)["module"] for d in report.diagnostics] == [
+            "threading", "_thread", "concurrent.futures",
+            "concurrent.futures"]
+
 
 # ---------------------------------------------------------------------------
 # Satellite: coverage-buffer truncation + site clamp telemetry

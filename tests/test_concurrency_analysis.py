@@ -16,7 +16,7 @@ import repro.cli as cli
 from repro.analysis import analysis_summary, explain_code
 from repro.analysis.concurrency import analyze_concurrency
 from repro.analysis.diagnostics import CODE_TABLE
-from repro.analysis.effects import build_index, propagate_contexts
+from repro.analysis.effects import build_index, signal_reachable
 from repro.analysis.suppress import SuppressionIndex, scan_suppressions
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -30,14 +30,12 @@ def fixture(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the five rules, one minimal fixture each
+# the four rules, one minimal fixture each
 # ---------------------------------------------------------------------------
 
 class TestRuleFixtures:
     @pytest.mark.parametrize("filename,code", [
-        ("eof401_unlocked.py", "EOF401"),
-        ("eof402_inversion.py", "EOF402"),
-        ("eof402_cycle3.py", "EOF402"),
+        ("eof401_atomic.py", "EOF401"),
         ("eof403_handler.py", "EOF403"),
         ("eof404_global.py", "EOF404"),
         ("eof405_external.py", "EOF405"),
@@ -54,27 +52,28 @@ class TestRuleFixtures:
 
     def test_own_tree_has_zero_eof4xx(self):
         # The concurrency contract of src/repro itself: the pass the CI
-        # gate runs must stay clean, with the GUARDED_BY annotations in
-        # farm/obs/db as the machine-checked convention.
+        # gate runs must stay clean, with the GUARDED_BY annotations of
+        # WorkerCore, _RemoteHandle, CampaignOrchestrator and
+        # CampaignStore as the machine-checked convention, and the CLI's
+        # campaign stop handler as the one signal context.
         report = analyze_concurrency()
         assert report.clean, report.render()
-        assert report.summary["conc.classes_guarded"] >= 6
-        assert report.summary["conc.signal_handlers"] >= 1
-        assert report.summary["conc.worker_functions"] > 0
+        assert report.summary["conc.classes_guarded"] == 4
+        assert report.summary["conc.signal_handlers"] == 1
 
     def test_contexts_discovered_on_fixture(self):
-        index = build_index([fixture("eof404_global.py")])
-        contexts = propagate_contexts(index)
-        worker_fns = {fn.name for fn, ctx in contexts.items()
-                      if "worker" in ctx}
-        assert "worker" in worker_fns
+        # Signal context flows from the signal.signal() registration
+        # along typed calls: the handler and the flag setter it reaches,
+        # never the main loop that installed it.
+        index = build_index([fixture("clean_guarded.py")])
+        names = {fn.qual for fn in signal_reachable(index)}
+        assert names == {"_on_int", "Run.stop"}
 
     def test_summary_keys_stable(self):
         report = analyze_concurrency([fixture("clean_guarded.py")])
         for key in ("conc.files", "conc.functions",
-                    "conc.classes_guarded", "conc.worker_functions",
-                    "conc.signal_handlers", "conc.barrier_functions",
-                    "conc.lock_edges", "conc.diagnostics"):
+                    "conc.classes_guarded", "conc.signal_handlers",
+                    "conc.diagnostics"):
             assert key in report.summary
 
 
@@ -82,14 +81,10 @@ class TestRuleFixtures:
 # inline suppressions + EOF407
 # ---------------------------------------------------------------------------
 
-SUPPRESSED_TALLY = '''import threading
-
-
-class Tally:
-    GUARDED_BY = {"count": "_lock"}
+SUPPRESSED_TALLY = '''class Tally:
+    GUARDED_BY = {"count": "@atomic"}
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.count = 0
 
     def bump(self):
@@ -178,7 +173,7 @@ class TestExplainAndCli:
 
     def test_cli_concurrency_dirty_path_exits_nonzero(self, capsys):
         assert cli.main(["concurrency",
-                         fixture("eof401_unlocked.py")]) == 1
+                         fixture("eof401_atomic.py")]) == 1
         assert "EOF401" in capsys.readouterr().out
 
 
@@ -221,12 +216,11 @@ class TestMeta:
         import repro.analysis.concurrency as conc_module
         documented = set(re.findall(r"EOF\d{3}",
                                     conc_module.__doc__ or ""))
-        assert {"EOF401", "EOF402", "EOF403", "EOF404",
-                "EOF405"} <= documented
+        assert {"EOF401", "EOF403", "EOF404", "EOF405"} <= documented
 
     def test_report_txt_renders_analysis_section(self):
         from repro.obs.report import render_report
-        report = analyze_concurrency([fixture("eof401_unlocked.py")])
+        report = analyze_concurrency([fixture("eof401_atomic.py")])
         data = {"run_id": "t", "meta": {},
                 "analysis": analysis_summary(report)}
         text = render_report(data)

@@ -1,10 +1,9 @@
 """repro.farm: multi-board campaigns, shared-corpus sync, crash triage."""
 
-import threading
-
 import pytest
 
 from repro.agent.protocol import ArgImm, Call, TestProgram
+from repro.bench.runner import make_campaign
 from repro.farm import (
     CampaignOptions,
     CampaignOrchestrator,
@@ -156,23 +155,15 @@ class TestCampaignState:
         assert state.crash_signatures() == [boom.signature(),
                                             other.signature()]
 
-    def test_concurrent_pushes_merge_losslessly(self):
+    def test_interleaved_pushes_merge_losslessly(self):
         state = CampaignState()
         per_worker = 40
-
-        def hammer(worker):
-            for i in range(per_worker):
+        for i in range(per_worker):
+            for worker in range(4):
                 edge = worker * 1000 + i
                 state.merge_edges({edge})
                 state.push(worker, 1,
                            [seed_entry(worker * 1000 + i, {edge + 1})])
-
-        threads = [threading.Thread(target=hammer, args=(w,))
-                   for w in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
         expected = {w * 1000 + i for w in range(4)
                     for i in range(per_worker)}
         expected |= {edge + 1 for edge in expected}
@@ -242,3 +233,27 @@ class TestCampaign:
         assert back.merged_edges == result.stats.merged_edges
         assert back.worker_count == result.stats.worker_count
         assert "merged" in result.stats.summary()
+
+    def test_keyboard_interrupt_aborts_without_running_other_boards(self):
+        """A second Ctrl-C raises KeyboardInterrupt in the running epoch;
+        it must unwind the campaign at once, not wait for the other
+        boards to finish theirs."""
+        orchestrator = make_campaign(get_target("freertos"), 2, 400_000,
+                                     sync_interval=100_000)
+        first, second = orchestrator.engines
+
+        def interrupted(target_cycles):
+            raise KeyboardInterrupt
+
+        entered = []
+        run_until = second.run_until
+
+        def recording(target_cycles):
+            entered.append(target_cycles)
+            return run_until(target_cycles)
+
+        first.run_until = interrupted
+        second.run_until = recording
+        with pytest.raises(KeyboardInterrupt):
+            orchestrator.run()
+        assert entered == []

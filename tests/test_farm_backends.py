@@ -1,6 +1,6 @@
-"""Campaign worker backends: thread vs process.
+"""Campaign worker backends: inline vs process.
 
-The refactor's acceptance gates: the in-thread backend is the
+The refactor's acceptance gates: the inline backend is the
 determinism reference (``tests/test_farm.py`` pins it byte-identical),
 and the process backend must reproduce its *observable* campaign —
 same merged frontier, same corpus digests, same crash signatures, same
@@ -47,7 +47,7 @@ def observable(result):
 
 class TestBackendEquivalence:
     def test_process_backend_matches_thread_reference(self):
-        reference = campaign("thread")
+        reference = campaign("inline")
         remote = campaign("process")
         assert remote.merged_edges > 0
         assert observable(remote) == observable(reference)

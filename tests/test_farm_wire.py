@@ -4,7 +4,7 @@ The remote campaign backends trust three serialized forms completely:
 ``FuzzStats.to_dict`` (final worker results), the corpus entry records
 (seed transfer), and the epoch-result payload (barrier deltas).  A
 silently-dropped field here would not crash anything — it would just
-make a subprocess campaign quietly diverge from the in-thread
+make a subprocess campaign quietly diverge from the inline
 reference — so every round-trip is pinned property-style, generically
 over the dataclass fields (a newly added counter is covered the day it
 is added, or the wire test fails).
