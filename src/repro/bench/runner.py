@@ -290,7 +290,6 @@ def make_campaign(target: TargetConfig, workers: int,
                   state_dir: Optional[str] = None,
                   resume: bool = False,
                   warm_start_dir: Optional[str] = None,
-                  checkpoint_every: int = 4,
                   snapshots: bool = True,
                   backend: str = "inline"):
     """Build (but do not run) one multi-board campaign orchestrator.
@@ -335,8 +334,7 @@ def make_campaign(target: TargetConfig, workers: int,
     store = None
     if state_dir is not None:
         from repro.db import CampaignStore
-        store = CampaignStore(state_dir, obs=obs,
-                              checkpoint_every=checkpoint_every)
+        store = CampaignStore(state_dir, obs=obs)
         store.open(campaign_config(options, target.name), resume=resume)
     warm_entries = None
     if warm_start_dir is not None:
@@ -366,7 +364,7 @@ def run_campaign(target: TargetConfig, workers: int,
     ``epoch_hook`` is called on the coordinator thread at every sync
     barrier with the epoch summary (the ``--dashboard`` feed).  See
     :func:`make_campaign` for the persistence knobs (``state_dir``,
-    ``resume``, ``warm_start_dir``, ``checkpoint_every``).
+    ``resume``, ``warm_start_dir``).
     """
     return make_campaign(target, workers, total_budget_cycles,
                          **kwargs).run()

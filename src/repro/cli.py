@@ -208,7 +208,7 @@ def _cmd_campaign(args) -> int:
           f"cycles, sync every {args.sync_interval} cycles, "
           f"seed {args.seed} ...")
     # First SIGINT/SIGTERM asks for a clean stop at the next epoch
-    # barrier (state checkpointed, exit code 3); a second one aborts
+    # barrier (state journaled, exit code 3); a second one aborts
     # hard: its KeyboardInterrupt unwinds the running epoch on the one
     # coordinator thread.  The handler only sets a flag — all real work
     # happens at the barrier.  Handlers go in *before* the store opens
@@ -223,8 +223,8 @@ def _cmd_campaign(args) -> int:
         stop_signals.append(signum)
         if orchestrator is not None:
             orchestrator.request_stop()
-        print("\ninterrupt: finishing the current epoch, then "
-              "checkpointing (signal again to abort hard) ...",
+        print("\ninterrupt: finishing and journaling the current "
+              "epoch (signal again to abort hard) ...",
               file=sys.stderr)
 
     previous_handlers = {
@@ -241,7 +241,6 @@ def _cmd_campaign(args) -> int:
                 worker_obs=worker_obs,
                 epoch_hook=epoch_hook, state_dir=args.state_dir,
                 resume=args.resume, warm_start_dir=args.warm_start,
-                checkpoint_every=args.checkpoint_every,
                 snapshots=not args.no_snapshot,
                 backend=args.backend)
         except StoreError as exc:
@@ -321,7 +320,7 @@ def _cmd_campaign(args) -> int:
         where = f" --state-dir {args.state_dir} --resume" \
             if args.state_dir else ""
         print(f"campaign interrupted at epoch {stats.sync_epochs}; "
-              f"state checkpointed — continue with: eof-fuzz campaign "
+              f"state journaled — continue with: eof-fuzz campaign "
               f"{args.target}{where}", file=sys.stderr)
         return 3
     return 0
@@ -485,7 +484,7 @@ def main(argv=None) -> int:
                "  1  error (bad arguments, campaign-store mismatch)\n"
                "  2  every worker board was quarantined\n"
                "  3  interrupted (SIGINT/SIGTERM): the last completed\n"
-               "     epoch is checkpointed; rerun with --state-dir DIR\n"
+               "     epoch is journaled; rerun with --state-dir DIR\n"
                "     --resume to continue deterministically\n")
     campaign_p.add_argument("target")
     campaign_p.add_argument("--workers", type=int, default=2,
@@ -527,9 +526,9 @@ def main(argv=None) -> int:
                                  "restoration on every worker board")
     campaign_p.add_argument("--state-dir", default=None, metavar="DIR",
                             help="persist campaign state (corpus, "
-                                 "frontier, crashes) into DIR via a "
-                                 "crash-safe journal + checkpoint "
-                                 "store")
+                                 "frontier, crashes) into DIR as one "
+                                 "crash-safe journal, appended at "
+                                 "every epoch barrier")
     campaign_p.add_argument("--resume", action="store_true",
                             help="continue the campaign persisted in "
                                  "--state-dir from its last completed "
@@ -540,11 +539,6 @@ def main(argv=None) -> int:
                                  "another campaign's state directory "
                                  "(footprints stay out of this run's "
                                  "frontier)")
-    campaign_p.add_argument("--checkpoint-every", type=int, default=4,
-                            metavar="EPOCHS",
-                            help="compact the journal into a full "
-                                 "checkpoint every N epochs "
-                                 "(default: 4)")
 
     report_p = sub.add_parser(
         "report", help="render the report of a recorded run directory")

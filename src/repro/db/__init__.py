@@ -1,24 +1,17 @@
 """``repro.db``: crash-safe persistence for campaign state.
 
-Four layers, each usable on its own:
+Three layers, each usable on its own:
 
 * :mod:`repro.db.io` — the atomic-write primitives (temp file + fsync +
   rename) every persistent artifact in the tree goes through,
 * :mod:`repro.db.journal` — CRC-framed append-only records with a
   salvaging reader that never raises on corrupt input,
-* :mod:`repro.db.checkpoint` — whole-state snapshots as one atomically
-  replaced frame,
-* :mod:`repro.db.store` — the :class:`CampaignStore` tying them into a
-  journal + checkpoint pair under one state directory, with quarantine
-  for anything that fails verification.
+* :mod:`repro.db.store` — the :class:`CampaignStore`, whose one journal
+  under a state directory is the whole durable campaign, with
+  quarantine for anything that fails verification.
 """
 
-from repro.db.checkpoint import (  # noqa: F401 (re-exported surface)
-    CHECKPOINT_RECORD,
-    read_checkpoint,
-    write_checkpoint,
-)
-from repro.db.io import (  # noqa: F401
+from repro.db.io import (  # noqa: F401 (re-exported surface)
     atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
@@ -35,9 +28,7 @@ from repro.db.journal import (  # noqa: F401
     scan_journal,
 )
 from repro.db.store import (  # noqa: F401
-    CHECKPOINT_FILE,
     CORRUPT_DIR,
     JOURNAL_FILE,
-    STORE_SCHEMA_MAJOR,
     CampaignStore,
 )

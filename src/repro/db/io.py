@@ -1,10 +1,11 @@
 """Crash-safe file primitives: write-to-temp + fsync + atomic rename.
 
-Every persistent artifact the stack leaves on disk — checkpoint files,
-``metrics.json``, ``profile.json``, flight dumps, rendered reports —
-goes through these helpers, so a kill at any instant leaves either the
-complete previous version or the complete new version of a file, never
-a torn half-write.  The recipe is the classic one:
+Every persistent artifact the stack leaves on disk — the campaign
+journal's clean rewrite, ``metrics.json``, ``profile.json``, flight
+dumps, rendered reports — goes through these helpers, so a kill at any
+instant leaves either the complete previous version or the complete
+new version of a file, never a torn half-write.  The recipe is the
+classic one:
 
 1. write the full payload to a temporary file *in the destination
    directory* (same filesystem, so the rename is atomic),
@@ -49,13 +50,9 @@ def fsync_directory(path: str) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(path: str, data: bytes,
-                       durable: bool = True) -> str:
-    """Atomically replace ``path`` with ``data``; returns ``path``.
-
-    ``durable=False`` skips the fsyncs (for tests and throwaway
-    renders); the rename is still atomic either way.
-    """
+def atomic_write_bytes(path: str, data: bytes) -> str:
+    """Atomically and durably replace ``path`` with ``data``; returns
+    ``path``."""
     path = str(path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
@@ -65,8 +62,7 @@ def atomic_write_bytes(path: str, data: bytes,
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
             fh.flush()
-            if durable:
-                os.fsync(fh.fileno())
+            os.fsync(fh.fileno())
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -74,13 +70,11 @@ def atomic_write_bytes(path: str, data: bytes,
         except OSError:
             pass
         raise
-    if durable:
-        fsync_directory(directory)
+    fsync_directory(directory)
     return path
 
 
 def atomic_write_text(path: str, text: str,
-                      durable: bool = True,
                       ensure_newline: bool = False) -> str:
     """Atomically replace ``path`` with UTF-8 ``text``.
 
@@ -89,13 +83,10 @@ def atomic_write_text(path: str, text: str,
     """
     if ensure_newline and text and not text.endswith("\n"):
         text += "\n"
-    return atomic_write_bytes(path, text.encode("utf-8"),
-                              durable=durable)
+    return atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def atomic_write_json(path: str, payload: object, indent: int = 2,
-                      durable: bool = True) -> str:
+def atomic_write_json(path: str, payload: object, indent: int = 2) -> str:
     """Atomically replace ``path`` with a JSON rendering of ``payload``."""
     text = json.dumps(payload, indent=indent, default=str) + "\n"
-    return atomic_write_bytes(path, text.encode("utf-8"),
-                              durable=durable)
+    return atomic_write_bytes(path, text.encode("utf-8"))

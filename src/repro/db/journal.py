@@ -88,7 +88,7 @@ def _crc(version: int, rtype: int, body: bytes) -> int:
 
 
 def encode_record(rtype: str, payload: Dict[str, object]) -> bytes:
-    """Frame one record (the checkpoint file reuses this encoding)."""
+    """Frame one record (the campaign wire reuses this encoding)."""
     if len(rtype) != 1:
         raise ValueError(f"record type must be one character: {rtype!r}")
     body = _payload_bytes(payload)
@@ -214,9 +214,8 @@ def read_journal(path: str) -> JournalScan:
 class JournalWriter:
     """Buffered appender; one fsync per :meth:`sync`, not per record."""
 
-    def __init__(self, path: str, durable: bool = True):
+    def __init__(self, path: str):
         self.path = str(path)
-        self.durable = durable
         self._fh = open(self.path, "ab")
         self.records_written = 0
         self.bytes_written = 0
@@ -230,10 +229,9 @@ class JournalWriter:
         return len(frame)
 
     def sync(self) -> None:
-        """Flush buffered frames and (when durable) fsync the file."""
+        """Flush buffered frames and fsync the file."""
         self._fh.flush()
-        if self.durable:
-            os.fsync(self._fh.fileno())
+        os.fsync(self._fh.fileno())
 
     def close(self) -> None:
         """Sync and close (idempotent)."""

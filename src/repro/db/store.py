@@ -3,14 +3,15 @@
 One :class:`CampaignStore` owns a *state directory*::
 
     state_dir/
-      journal.eofj      append-only WAL (repro.db.journal frames)
-      checkpoint.eofc   one whole-state snapshot (repro.db.checkpoint)
+      journal.eofj      the whole store: append-only repro.db.journal frames
       corrupt/          quarantined bytes that failed verification
 
 Everything a campaign learns — corpus entries keyed by content hash,
 deduplicated crash signatures, the merged coverage frontier, the
-per-epoch series — flows through the journal; every ``checkpoint_every``
-epochs the journal is compacted into the checkpoint file.
+per-epoch series — flows through the journal.  Every record holds only
+what is new since the previous barrier, so the journal is never
+compacted: it stays about the size of a full snapshot of the same
+state.
 
 Transaction model
 -----------------
@@ -21,23 +22,27 @@ record (``E``), then fsyncs once.  The ``E`` record is the commit
 point: on load, seed/crash records are buffered and only applied when
 their commit arrives, so a kill mid-epoch loses at most the epoch in
 flight — exactly the "resume from the last *completed* epoch" contract.
+A crash seen again after first sight gets a fresh ``X`` record at the
+barrier where its count or board set changed; on load the latest
+record of a signature wins.
 
 Salvage policy
 --------------
-Loading never raises on corrupt bytes.  An unreadable checkpoint is
-moved into ``corrupt/`` and the journal replays from its start; corrupt
-journal spans are quarantined to ``corrupt/`` and the scan resyncs on
-the next frame magic; a torn tail (kill mid-append) is dropped
-silently; records past the last commit are discarded.  The loader
-reports all of it via the ``db.salvaged`` / ``db.quarantined`` metrics
-and the :meth:`salvage_summary` dict, and the journal is rewritten
-clean on open so damage never compounds.
+Loading never raises on corrupt bytes.  Corrupt journal spans are
+quarantined to ``corrupt/`` and the scan resyncs on the next frame
+magic; a torn tail (kill mid-append) is dropped silently; records past
+the last commit are discarded.  The loader reports all of it via the
+``db.salvaged`` / ``db.quarantined`` metrics and the
+:meth:`salvage_summary` dict, and the journal is rewritten clean on
+open so damage never compounds.
 
-The only errors the store *raises* are caller mistakes: starting a
-fresh campaign on top of existing state without ``resume``
-(:class:`~repro.errors.StoreError`), or resuming with options that do
-not replay the persisted campaign
-(:class:`~repro.errors.StoreConfigError`).
+The store raises :class:`~repro.errors.StoreError` when starting a
+fresh campaign on top of existing state without ``resume``, and for a
+directory that holds ``checkpoint.eofc``: an older version compacted
+its journal into that file, so the journal lacks every epoch up to the
+compaction and is refused rather than half-read.  Resuming with
+options that do not replay the persisted campaign raises
+:class:`~repro.errors.StoreConfigError`.
 """
 
 from __future__ import annotations
@@ -45,29 +50,25 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.db.checkpoint import read_checkpoint, write_checkpoint
 from repro.db.io import atomic_write_bytes
 from repro.db.journal import JournalRecord, JournalWriter, encode_record, read_journal
 from repro.errors import StoreConfigError, StoreError
 from repro.fuzz.corpus import CorpusEntry, entry_from_record
 from repro.obs import NULL_OBS, Observability
 
-__all__ = ["CampaignStore", "STORE_SCHEMA_MAJOR", "JOURNAL_FILE",
-           "CHECKPOINT_FILE", "CORRUPT_DIR"]
+__all__ = ["CampaignStore", "JOURNAL_FILE", "CORRUPT_DIR"]
 
 JOURNAL_FILE = "journal.eofj"
-CHECKPOINT_FILE = "checkpoint.eofc"
 CORRUPT_DIR = "corrupt"
 
-#: Major version stamped into checkpoints; bumped when the snapshot
-#: layout changes incompatibly.  A checkpoint with a different major is
-#: quarantined, not guessed at.
-STORE_SCHEMA_MAJOR = 1
+#: What older versions compacted the journal into; its presence means
+#: the journal beside it is missing epochs.
+LEGACY_CHECKPOINT_FILE = "checkpoint.eofc"
 
-#: Journal record types.  ``C`` is reserved by the checkpoint file.
+#: Journal record types.
 REC_META = "M"     # campaign config, written once at store creation
 REC_SEED = "S"     # one corpus entry (program bytes + footprint + origin)
-REC_CRASH = "X"    # one campaign-unique crash signature
+REC_CRASH = "X"    # one crash signature, re-appended when it is seen again
 REC_EPOCH = "E"    # epoch commit: frontier delta + series row
 
 
@@ -85,7 +86,6 @@ class CampaignStore:
         "entries": "@main",
         "crashes": "@main",
         "series": "@main",
-        "tallies": "@main",
         "salvaged_records": "@main",
         "quarantined_spans": "@main",
         "quarantined_bytes": "@main",
@@ -94,18 +94,11 @@ class CampaignStore:
         "resumed_from_epoch": "@main",
         "_digests": "@main",
         "_writer": "@main",
-        "_last_checkpoint_epoch": "@main",
-        "_epoch_records": "@main",
     }
 
-    def __init__(self, root: str, obs: Optional[Observability] = None,
-                 durable: bool = True, checkpoint_every: int = 4):
+    def __init__(self, root: str, obs: Optional[Observability] = None):
         self.root = str(root)
         self.obs = obs or NULL_OBS
-        self.durable = durable
-        if checkpoint_every < 1:
-            raise StoreError("checkpoint_every must be >= 1")
-        self.checkpoint_every = checkpoint_every
 
         # Mirror state (what load() reconstructs and record_epoch extends).
         self.config: Optional[Dict[str, object]] = None
@@ -114,7 +107,6 @@ class CampaignStore:
         self.entries: List[Dict[str, object]] = []
         self.crashes: Dict[str, Dict[str, object]] = {}
         self.series: List[Dict[str, object]] = []
-        self.tallies: Dict[str, int] = {}
 
         # Salvage accounting for the most recent load.
         self.salvaged_records = 0
@@ -126,18 +118,12 @@ class CampaignStore:
 
         self._digests: Set[str] = set()
         self._writer: Optional[JournalWriter] = None
-        self._last_checkpoint_epoch = 0
-        self._epoch_records = 0              # journal E records since compaction
 
     # -- paths ---------------------------------------------------------------
 
     @property
     def journal_path(self) -> str:
         return os.path.join(self.root, JOURNAL_FILE)
-
-    @property
-    def checkpoint_path(self) -> str:
-        return os.path.join(self.root, CHECKPOINT_FILE)
 
     @property
     def corrupt_dir(self) -> str:
@@ -167,7 +153,7 @@ class CampaignStore:
         killed before its first barrier has nothing to replay).
         """
         os.makedirs(self.root, exist_ok=True)
-        tail = self._load()
+        committed = self._load()
         if self.config is not None:
             mismatch = sorted(
                 key for key in set(self.config) | set(config)
@@ -183,7 +169,7 @@ class CampaignStore:
                 f"{self.epoch}; pass resume (or use a fresh directory)")
         self.resumed_from_epoch = self.epoch if resume else 0
         self.config = dict(config)
-        self._open_writer(tail)
+        self._open_writer(committed)
         if self.obs.enabled:
             self.obs.emit("db.open", epoch=self.epoch,
                           entries=len(self.entries),
@@ -206,27 +192,24 @@ class CampaignStore:
         return self
 
     def _load(self) -> List[JournalRecord]:
-        """Reconstruct mirror state; returns the post-checkpoint record
-        tail (in journal order) that the compacted journal must keep."""
-        snapshot = read_checkpoint(self.checkpoint_path)
-        if snapshot is None:
-            self._quarantine_file(self.checkpoint_path, "checkpoint")
-        elif int(snapshot.get("v", 0)) != STORE_SCHEMA_MAJOR:
-            self._quarantine_file(self.checkpoint_path, "checkpoint")
-            snapshot = None
-        if snapshot is not None:
-            self._install_snapshot(snapshot)
+        """Reconstruct mirror state; returns the committed records (in
+        journal order) that the clean journal keeps."""
+        legacy = os.path.join(self.root, LEGACY_CHECKPOINT_FILE)
+        if os.path.exists(legacy):
+            raise StoreError(
+                f"{legacy} was left by an older version that compacted "
+                f"the journal into it, so the journal lacks those "
+                f"epochs; start over in a fresh directory")
         scan = read_journal(self.journal_path)
         self.salvaged_records = scan.salvaged
         self.torn_tail_bytes = scan.torn_tail_bytes
         if scan.corrupt_spans:
             self._quarantine_spans(scan.corrupt_spans)
 
-        # Apply the journal on top of the checkpoint.  Seed and crash
-        # records buffer until their epoch commit; an epoch already
-        # folded into the checkpoint is skipped (its records are
-        # already in the snapshot).
-        tail: List[JournalRecord] = []
+        # Seed and crash records buffer until their epoch commit.  The
+        # journal is input read from disk, so a commit that does not
+        # advance the epoch is dropped together with its records.
+        committed: List[JournalRecord] = []
         pending: List[JournalRecord] = []
         for record in scan.records:
             if record.rtype == REC_META:
@@ -244,25 +227,12 @@ class CampaignStore:
                 continue
             for buffered in pending:
                 self._apply(buffered)
-                tail.append(buffered)
+                committed.append(buffered)
             pending.clear()
             self._apply(record)
-            tail.append(record)
+            committed.append(record)
         self.dropped_uncommitted = len(pending)
-        return tail
-
-    def _install_snapshot(self, snapshot: Dict[str, object]) -> None:
-        self.config = dict(snapshot.get("config") or {}) or None
-        self.epoch = int(snapshot.get("epoch", 0))
-        self.edges = {int(edge) for edge in snapshot.get("edges", ())}
-        self.entries = [dict(rec) for rec in snapshot.get("entries", ())]
-        self.crashes = {str(rec.get("signature", "")): dict(rec)
-                        for rec in snapshot.get("crashes", ())}
-        self.series = [dict(row) for row in snapshot.get("series", ())]
-        self.tallies = {str(k): int(v) for k, v in
-                        dict(snapshot.get("tallies") or {}).items()}
-        self._digests = {str(rec.get("digest", "")) for rec in self.entries}
-        self._last_checkpoint_epoch = self.epoch
+        return committed
 
     def _apply(self, record: JournalRecord) -> None:
         payload = record.payload
@@ -273,24 +243,22 @@ class CampaignStore:
                 self.entries.append(dict(payload))
         elif record.rtype == REC_CRASH:
             signature = str(payload.get("signature", ""))
-            if signature and signature not in self.crashes:
+            if signature:
+                # The latest record wins; the dict keeps first-seen order.
                 self.crashes[signature] = dict(payload)
         elif record.rtype == REC_EPOCH:
             self.epoch = int(payload.get("epoch", self.epoch))
             self.edges.update(int(e) for e in payload.get("edges_new", ()))
             row = {k: payload[k] for k in payload if k != "edges_new"}
             self.series.append(row)
-            for key in ("shared_total", "imported_total"):
-                if key in payload:
-                    self.tallies[key] = int(payload[key])
 
-    def _open_writer(self, tail: List[JournalRecord]) -> None:
+    def _open_writer(self, committed: List[JournalRecord]) -> None:
         """Start appending; rewrite the journal first when the on-disk
         bytes differ from the clean form (salvage, torn tail, dropped
-        uncommitted records, or epochs already folded into the
-        checkpoint) so damage never accumulates across restarts."""
+        uncommitted records) so damage never accumulates across
+        restarts."""
         clean = encode_record(REC_META, self.config or {})
-        clean += b"".join(encode_record(r.rtype, r.payload) for r in tail)
+        clean += b"".join(encode_record(r.rtype, r.payload) for r in committed)
         existing = b""
         try:
             with open(self.journal_path, "rb") as fh:
@@ -298,12 +266,8 @@ class CampaignStore:
         except FileNotFoundError:
             pass
         if existing != clean:
-            atomic_write_bytes(self.journal_path, clean,
-                               durable=self.durable)
-        self._epoch_records = sum(
-            1 for r in tail if r.rtype == REC_EPOCH)
-        self._writer = JournalWriter(self.journal_path,
-                                     durable=self.durable)
+            atomic_write_bytes(self.journal_path, clean)
+        self._writer = JournalWriter(self.journal_path)
 
     # -- quarantine ----------------------------------------------------------
 
@@ -314,21 +278,10 @@ class CampaignStore:
         return os.path.join(self.corrupt_dir,
                             f"{label}-{ordinal:03d}{suffix}")
 
-    def _quarantine_file(self, path: str, label: str) -> None:
-        """Move an unreadable file into ``corrupt/`` (missing = no-op)."""
-        if not os.path.exists(path):
-            return
-        target = self._quarantine_target(label, ".quarantined")
-        os.replace(path, target)
-        self.quarantined_spans += 1
-        self.quarantined_bytes += os.path.getsize(target)
-        if self.obs.enabled:
-            self.obs.emit("db.quarantined", source=label, path=target)
-
     def _quarantine_spans(self, spans: List[bytes]) -> None:
         blob = b"".join(spans)
         target = self._quarantine_target("journal", ".bin")
-        atomic_write_bytes(target, blob, durable=self.durable)
+        atomic_write_bytes(target, blob)
         count = len(spans)
         self.quarantined_spans += count
         self.quarantined_bytes += len(blob)
@@ -345,8 +298,8 @@ class CampaignStore:
         ``state`` is the campaign's live shared state (duck-typed
         :class:`repro.farm.state.CampaignState`); ``row`` is the
         barrier's summary row (the time-series schema).  Appends the
-        epoch's new seeds and crashes, then the commit record, then
-        fsyncs once; auto-checkpoints every ``checkpoint_every`` epochs.
+        epoch's new seeds, its new and re-triaged crashes, then the
+        commit record, then fsyncs once.
         """
         if self._writer is None:
             raise StoreError("store is not open")
@@ -367,23 +320,21 @@ class CampaignStore:
             self.entries.append(record)
             self._writer.append(REC_SEED, record)
         for signature, triaged in state.crashes.items():
+            workers = sorted(triaged.workers)
             mirror = self.crashes.get(signature)
-            if mirror is None:
-                record = {
-                    "signature": signature,
-                    "first_worker": triaged.first_worker,
-                    "first_epoch": triaged.first_epoch,
-                    "count": triaged.count,
-                    "workers": sorted(triaged.workers),
-                    "report": triaged.report.to_dict(),
-                }
-                self.crashes[signature] = record
-                self._writer.append(REC_CRASH, record)
-            else:
-                # Counts keep moving after first sight; refresh the
-                # mirror so the next checkpoint persists them.
-                mirror["count"] = triaged.count
-                mirror["workers"] = sorted(triaged.workers)
+            if mirror is not None and mirror.get("count") == triaged.count \
+                    and mirror.get("workers") == workers:
+                continue
+            record = {
+                "signature": signature,
+                "first_worker": triaged.first_worker,
+                "first_epoch": triaged.first_epoch,
+                "count": triaged.count,
+                "workers": workers,
+                "report": triaged.report.to_dict(),
+            }
+            self.crashes[signature] = record
+            self._writer.append(REC_CRASH, record)
         commit: Dict[str, object] = {
             "epoch": epoch,
             "cycles": target_cycles,
@@ -396,62 +347,16 @@ class CampaignStore:
         self._writer.append(REC_EPOCH, commit)
         self._writer.sync()
         self._apply(JournalRecord(REC_EPOCH, commit))
-        self._epoch_records += 1
         if self.obs.enabled:
             self.obs.counter("db.journal.records").inc(
                 self._writer.records_written - records_before)
             self.obs.counter("db.journal.bytes").inc(
                 self._writer.bytes_written - bytes_before)
-        if epoch - self._last_checkpoint_epoch >= self.checkpoint_every:
-            self.checkpoint()
 
-    # -- checkpointing -------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """The complete JSON-friendly state (the checkpoint payload)."""
-        return {
-            "v": STORE_SCHEMA_MAJOR,
-            "config": dict(self.config or {}),
-            "epoch": self.epoch,
-            "edges": sorted(self.edges),
-            "entries": list(self.entries),
-            "crashes": [self.crashes[sig] for sig in self.crashes],
-            "series": list(self.series),
-            "tallies": dict(self.tallies),
-        }
-
-    def checkpoint(self) -> None:
-        """Write the snapshot atomically, then compact the journal."""
-        if self._writer is not None:
-            self._writer.sync()
-        write_checkpoint(self.checkpoint_path, self.snapshot(),
-                         durable=self.durable)
-        self._last_checkpoint_epoch = self.epoch
-        # Compact: everything journaled so far is in the checkpoint, so
-        # the journal restarts at just the meta record.  A kill between
-        # the two atomic replaces leaves checkpoint+old-journal, which
-        # the loader handles by skipping already-folded epochs.
-        if self._writer is not None:
-            self._writer.close()
-            atomic_write_bytes(self.journal_path,
-                               encode_record(REC_META, self.config or {}),
-                               durable=self.durable)
-            self._writer = JournalWriter(self.journal_path,
-                                         durable=self.durable)
-            self._epoch_records = 0
-        if self.obs.enabled:
-            self.obs.counter("db.checkpoints").inc()
-            self.obs.emit("db.checkpoint", epoch=self.epoch,
-                          entries=len(self.entries),
-                          crashes=len(self.crashes),
-                          edges=len(self.edges))
-
-    def close(self, final_checkpoint: bool = True) -> None:
-        """Flush everything; optionally fold the journal one last time."""
+    def close(self) -> None:
+        """Sync and close the journal (idempotent)."""
         if self._writer is None:
             return
-        if final_checkpoint:
-            self.checkpoint()
         self._writer.close()
         self._writer = None
 
@@ -470,8 +375,7 @@ class CampaignStore:
             target = self._quarantine_target("entries", ".bin")
             atomic_write_bytes(
                 target,
-                b"".join(encode_record(REC_SEED, rec) for rec in bad),
-                durable=self.durable)
+                b"".join(encode_record(REC_SEED, rec) for rec in bad))
             self.quarantined_spans += len(bad)
             if self.obs.enabled:
                 self.obs.counter("db.quarantined").inc(len(bad))

@@ -6,8 +6,8 @@ UART stream, and keeps the DebugPipe verbs (flash, reboot, reattach,
 UART drain).  Every other command — memory transfer, breakpoints,
 ``-exec-continue``, PC sampling — goes through ``session.link``, the
 :class:`~repro.link.DebugLink` whose methods carry the paper's
-GDB/OpenOCD names and which owns batching, the read-through memory
-cache, and the obs/chaos choke point.
+GDB/OpenOCD names and which owns batching, the delta coverage drain,
+and the obs/chaos choke point.
 """
 
 from repro.ddi.session import DebugSession, open_session

@@ -38,8 +38,7 @@ class DebugSession:
             # Virtual-cycle timestamps come from this board's clock.
             obs.bind_clock(lambda: board.machine.cycles)
         self.port = DebugPort(board)
-        self.link = DebugLink(DebugPortTransport(self.port, obs=obs),
-                              obs=obs)
+        self.link = DebugLink(DebugPortTransport(self.port, obs=obs))
         self._uart_cursor = 0
 
     # -- UART capture -----------------------------------------------------------
@@ -90,7 +89,6 @@ class DebugSession:
         when the probe reconnected and the target booted.
         """
         started_at = self.board.machine.cycles
-        self.link.invalidate_cache()
         self.port.disconnect()
         self.board.power_off()
         self.board.machine.tick(POWER_CYCLE_CYCLES)

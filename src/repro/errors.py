@@ -99,10 +99,12 @@ class RecoveryExhausted(ReproError):
 class StoreError(ReproError):
     """A campaign store (``repro.db``) cannot be used as requested.
 
-    Raised only for *caller* mistakes — resuming into a directory that
+    Raised for *caller* mistakes — resuming into a directory that
     already holds a different campaign, pointing ``--resume`` at a
-    directory with no state.  Corrupt on-disk bytes never raise: the
-    loader salvages what verifies and quarantines the rest.
+    directory with no state — and for a directory whose journal an
+    older version compacted into ``checkpoint.eofc``.  Corrupt on-disk
+    bytes never raise: the loader salvages what verifies and
+    quarantines the rest.
     """
 
 

@@ -209,7 +209,7 @@ class CampaignOrchestrator:
                 f"(expected one of {', '.join(BACKENDS)})")
         self.obs = obs or NULL_OBS
         #: Opened campaign store (ownership transfers here: the
-        #: orchestrator checkpoints and closes it when the run ends).
+        #: orchestrator closes it when the run ends).
         #: A store opened with ``resume`` sets the fast-forward point.
         #: The store lives on the coordinator under every backend.
         self.store = store
@@ -334,7 +334,7 @@ class CampaignOrchestrator:
 
         Safe to call from a signal handler: it only sets a flag; the
         coordinator checks it after each barrier has merged and
-        persisted, then winds down cleanly with a final checkpoint.
+        journaled, then winds down cleanly.
         """
         self._stop_requested = True
 
@@ -534,10 +534,10 @@ class CampaignOrchestrator:
             resumed_from_epoch=self._resume_epoch,
             interrupted=self._interrupted)
         if self.store is not None:
-            # Final checkpoint: a completed run's store doubles as a
-            # warm-start corpus; an interrupted run's is the resume
-            # point.
-            self.store.close(final_checkpoint=True)
+            # Every barrier is already journaled: a completed run's
+            # store doubles as a warm-start corpus; an interrupted
+            # run's is the resume point.
+            self.store.close()
             if self.obs.enabled and self._interrupted:
                 self.obs.emit("db.interrupted",
                               epoch=self._epochs_run,

@@ -250,8 +250,8 @@ class SnapshotManager:
     def _verify_probe(self) -> bool:
         """Read back the generation word + canary and compare to capture.
 
-        Inside a batch the link never serves reads from cache, so these
-        are real target readbacks of what the write-back produced.
+        Both reads go to the target in one batch, so they see what the
+        write-back produced.
         """
         link = self.session.link
         gen_addr = self.layout.cov_gen_addr

@@ -3,13 +3,13 @@
 Everything that crosses the hardware debug port goes through one stack:
 
     DebugLink (GDB/OpenOCD command names, batching, delta drain,
-               read-through cache)
+               dirty-page log)
         -> DebugPortTransport (framing, obs choke point, chaos boundary)
             -> DebugPort (raw probe primitives)
 
 A :class:`~repro.ddi.DebugSession` builds the stack and exposes the
 client as ``session.link``.  See DESIGN.md §9 for the batching and
-invalidation semantics.
+delta-drain semantics.
 """
 
 from repro.link.client import DebugLink, PendingReply

@@ -1,4 +1,4 @@
-"""The batched, cached debug-link client.
+"""The batched debug-link client.
 
 :class:`DebugLink` is the one object host code uses to command a target
 (``session.link``).  Its command methods carry the paper's GDB/OpenOCD
@@ -12,13 +12,10 @@ express:
   :class:`PendingReply` handles resolved at the flush,
 * **delta coverage drain** — :meth:`cov_drain` remembers the tracer's
   generation word per buffer, so an unchanged buffer costs one word,
-* **a read-through memory cache** keyed on ``(addr, len)``, invalidated
-  precisely on overlapping writes and wholesale on anything that lets
-  the target run (resume, reset, flash, reattach).
+* **a page-granular dirty log** of every way target RAM can change,
+  which snapshot restore (:mod:`repro.fuzz.snapshot`) writes back.
 
-The cache is sound on this substrate because target memory only mutates
-while the core runs — and every way of making it run goes through this
-object.
+Every read goes to the target: there is no host-side memory cache.
 """
 
 from __future__ import annotations
@@ -44,11 +41,8 @@ from repro.link.codec import (
     OP_WRITE_U32,
     Command,
     Reply,
-    decode_u32,
-    encode_u32,
 )
 from repro.link.transport import DebugPortTransport
-from repro.obs import NULL_OBS
 
 #: Granularity of the host-side dirty log (bytes).  Small enough that a
 #: typical post-boot restore moves a few tens of KB, large enough that
@@ -108,14 +102,10 @@ class _Batch:
 class DebugLink:
     """High-level client over one :class:`DebugPortTransport`."""
 
-    def __init__(self, transport: DebugPortTransport, obs=NULL_OBS):
+    def __init__(self, transport: DebugPortTransport):
         self.transport = transport
-        self.obs = obs
         self._batch: Optional[_Batch] = None
-        self._cache: Dict[Tuple[int, int], bytes] = {}
         self._drain_gen: Dict[int, int] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
         # Page-granular write log (repro.fuzz.snapshot): every way target
         # RAM can change after a snapshot capture lands here — host
         # writes page-precisely, execution windows via the declared
@@ -176,54 +166,20 @@ class DebugLink:
         self._after(cmd, reply)
         return decode(reply)
 
-    # -- cache ---------------------------------------------------------------
-
-    def invalidate_cache(self) -> None:
-        """Drop every cached read (the target may have run)."""
-        self._cache.clear()
-
-    def _invalidate_range(self, addr: int, length: int) -> None:
-        if not self._cache:
-            return
-        end = addr + length
-        dead = [key for key in self._cache
-                if key[0] < end and addr < key[0] + key[1]]
-        for key in dead:
-            del self._cache[key]
-
-    def _cache_lookup(self, addr: int, length: int) -> Optional[bytes]:
-        if self._batch is not None:
-            return None
-        data = self._cache.get((addr, length))
-        if data is not None:
-            self.cache_hits += 1
-            if self.obs.enabled:
-                self.obs.counter("link.cache.hits").inc()
-        else:
-            self.cache_misses += 1
-        return data
-
     def _after(self, cmd: Command, reply: Reply) -> None:
-        """Post-transaction cache bookkeeping, in execution order."""
+        """Post-transaction dirty-log and drain bookkeeping, in
+        execution order."""
         op = cmd.op
-        if op == OP_READ_MEM:
-            self._cache[(cmd.addr, cmd.length)] = reply.data
-        elif op == OP_READ_U32:
-            self._cache[(cmd.addr, 4)] = encode_u32(reply.value)
-        elif op == OP_WRITE_MEM:
-            self._invalidate_range(cmd.addr, len(cmd.data))
+        if op == OP_WRITE_MEM:
             self._dirty_pages.update(pages_for_range(cmd.addr,
                                                      len(cmd.data)))
         elif op == OP_WRITE_U32:
-            self._invalidate_range(cmd.addr, 4)
             self._dirty_pages.update(pages_for_range(cmd.addr, 4))
         elif op == OP_RESUME:
-            self.invalidate_cache()
             # The core ran: everything in the declared execution-dirty
             # ranges (heap, status, crash, coverage) may have changed.
             self._dirty_pages.update(self._exec_dirty_pages)
         elif op == OP_RESET:
-            self.invalidate_cache()
             self._dirty_all = True
             # A reset rewinds the tracer's generation word; forgetting
             # the last drained generation forces the next cov_drain to
@@ -231,16 +187,12 @@ class DebugLink:
             # must never read as "nothing changed".
             self._drain_gen.clear()
         elif op == OP_FLASH_WRITE:
-            # Flash/sector state moved under us: nothing cached can be
-            # trusted, and any RAM snapshot predates the new image.
-            self.invalidate_cache()
+            # Any RAM snapshot predates the new flash image.
             self.flash_epoch += 1
         elif op == OP_COV_DRAIN:
-            self._invalidate_range(cmd.addr, 4 + cmd.length * 4)
             self._dirty_pages.update(
                 pages_for_range(cmd.addr, 4 + cmd.length * 4))
             if cmd.gen_addr:
-                self._invalidate_range(cmd.gen_addr, 4)
                 self._dirty_pages.update(pages_for_range(cmd.gen_addr, 4))
                 self._drain_gen[cmd.gen_addr] = reply.value
 
@@ -284,9 +236,6 @@ class DebugLink:
 
     def read_memory(self, addr: int, length: int):
         """``-data-read-memory-bytes``."""
-        cached = self._cache_lookup(addr, length)
-        if cached is not None:
-            return cached
         return self._submit(Command(op=OP_READ_MEM, addr=addr,
                                     length=length),
                             lambda reply: reply.data)
@@ -299,9 +248,6 @@ class DebugLink:
 
     def read_u32(self, addr: int):
         """Read one little-endian word of target memory."""
-        cached = self._cache_lookup(addr, 4)
-        if cached is not None:
-            return decode_u32(cached)
         return self._submit(Command(op=OP_READ_U32, addr=addr),
                             lambda reply: reply.value)
 

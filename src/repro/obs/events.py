@@ -71,8 +71,7 @@ EVENT_REGISTRY = frozenset({
     # -- telemetry pipeline (timeseries / flight recorder) ------------------
     "ts.sample", "flight.dump",
     # -- campaign store (repro.db) ------------------------------------------
-    "db.open", "db.checkpoint", "db.quarantined", "db.resume",
-    "db.interrupted",
+    "db.open", "db.quarantined", "db.resume", "db.interrupted",
 })
 
 

@@ -30,8 +30,8 @@ METRIC_REGISTRY = frozenset({
     "sites.clamped", "corpus.size", "crash.observed", "exec.cycles",
     # -- coverage / debug link ---------------------------------------------
     "coverage.drain.bytes", "coverage.drain.records", "cov.truncated",
-    "link.drain.skipped", "link.cache.hits", "link.transactions",
-    "link.txn.cycles", "link.bytes", "uart.lines",
+    "link.drain.skipped", "link.transactions", "link.txn.cycles",
+    "link.bytes", "uart.lines",
     # -- restore / recovery -------------------------------------------------
     "restore.latency", "recovery.latency",
     "restore.snapshot.latency", "restore.snapshot.pages",
@@ -44,8 +44,7 @@ METRIC_REGISTRY = frozenset({
     "ts.samples", "flight.dumps", "profile.attribution",
     # -- campaign store (repro.db) ------------------------------------------
     "db.salvaged", "db.quarantined", "db.quarantined.bytes",
-    "db.uncommitted", "db.checkpoints", "db.journal.records",
-    "db.journal.bytes",
+    "db.uncommitted", "db.journal.records", "db.journal.bytes",
 })
 
 

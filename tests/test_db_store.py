@@ -1,4 +1,4 @@
-"""repro.db: crash-safe campaign store — salvage, checkpoint, resume.
+"""repro.db: crash-safe campaign store — salvage, journal, resume.
 
 Unit coverage of the store (round trip, config guard, corrupt-store
 fixtures) plus the acceptance gates: a campaign interrupted at an epoch
@@ -19,7 +19,6 @@ import pytest
 from repro.agent.protocol import ArgImm, Call, TestProgram
 from repro.bench.runner import make_campaign
 from repro.db import (
-    CHECKPOINT_FILE,
     CORRUPT_DIR,
     JOURNAL_FILE,
     CampaignStore,
@@ -47,11 +46,15 @@ def store_config(**overrides):
     return config
 
 
+def boom():
+    return CrashReport("freertos", KIND_PANIC, "boom at 0x100",
+                       backtrace=["a", "b"])
+
+
 def populated_state():
     state = CampaignState()
     state.push(0, 1, [seed_entry(1, {1, 2}), seed_entry(2, {3})])
-    state.record_crash(1, 1, CrashReport(
-        "freertos", KIND_PANIC, "boom at 0x100", backtrace=["a", "b"]))
+    state.record_crash(1, 1, boom())
     return state
 
 
@@ -63,8 +66,7 @@ class TestStoreRoundTrip:
         store.open(store_config())
         store.record_epoch(1, 100_000, state, {"edges": 3})
         store.close()
-        assert os.path.exists(os.path.join(root, CHECKPOINT_FILE))
-        assert os.path.exists(os.path.join(root, JOURNAL_FILE))
+        assert os.listdir(root) == [JOURNAL_FILE]
 
         back = CampaignStore.read(root)
         assert back.epoch == 1
@@ -99,16 +101,43 @@ class TestStoreRoundTrip:
         assert back.epoch == 0
         assert back.corpus_entries() == []
 
+    def test_crash_seen_again_is_durable_at_its_barrier(self, tmp_path):
+        root = str(tmp_path / "state")
+        state = populated_state()
+        store = CampaignStore(root)
+        store.open(store_config())
+        store.record_epoch(1, 100_000, state, {})
+        state.record_crash(0, 2, boom())
+        store.record_epoch(2, 200_000, state, {})
+        # No close(): a kill after the barrier must not lose the
+        # re-triage.
+        [live] = state.crashes.values()
+        assert (live.count, sorted(live.workers)) == (2, [0, 1])
+        [stored] = CampaignStore.read(root).crashes.values()
+        assert stored["count"] == 2
+        assert stored["workers"] == [0, 1]
+        assert stored["first_worker"] == 1
+        store.close()
+
+    def test_legacy_checkpoint_directory_is_refused(self, tmp_path):
+        root = str(tmp_path / "state")
+        write_two_epochs(root)
+        open(os.path.join(root, "checkpoint.eofc"), "wb").close()
+        with pytest.raises(StoreError, match="checkpoint.eofc"):
+            CampaignStore(root).open(store_config(), resume=True)
+        with pytest.raises(StoreError, match="checkpoint.eofc"):
+            CampaignStore.read(root)
+
 
 def write_two_epochs(root):
-    """A store with two committed epochs and no checkpoint compaction."""
-    store = CampaignStore(root, checkpoint_every=100)
+    """A store with two committed epochs."""
+    store = CampaignStore(root)
     store.open(store_config())
     state = populated_state()
     store.record_epoch(1, 100_000, state, {"edges": 3})
     state.push(0, 2, [seed_entry(3, {4, 5})])
     store.record_epoch(2, 200_000, state, {"edges": 5})
-    store.close(final_checkpoint=False)
+    store.close()
     return state
 
 
@@ -144,21 +173,6 @@ class TestSalvage:
         quarantined = os.listdir(os.path.join(root, CORRUPT_DIR))
         assert any(name.startswith("journal-") for name in quarantined)
 
-    def test_corrupt_checkpoint_is_quarantined_not_fatal(self, tmp_path):
-        root = str(tmp_path / "state")
-        store = CampaignStore(root, checkpoint_every=1)
-        store.open(store_config())
-        store.record_epoch(1, 100_000, populated_state(), {})
-        store.close()
-        checkpoint = os.path.join(root, CHECKPOINT_FILE)
-        with open(checkpoint, "r+b") as fh:
-            fh.write(b"\xde\xad\xbe\xef")
-        back = CampaignStore.read(root)
-        quarantined = os.listdir(os.path.join(root, CORRUPT_DIR))
-        assert any(name.startswith("checkpoint-")
-                   for name in quarantined)
-        assert back.salvage_summary()["quarantined_spans"] >= 1
-
     def test_reopen_rewrites_a_damaged_journal_clean(self, tmp_path):
         root = str(tmp_path / "state")
         write_two_epochs(root)
@@ -167,7 +181,7 @@ class TestSalvage:
             fh.truncate(os.path.getsize(journal) - 7)
         store = CampaignStore(root)
         store.open(store_config(), resume=True)
-        store.close(final_checkpoint=False)
+        store.close()
         # Damage must not compound: the reopened journal verifies.
         summary = CampaignStore.read(root).salvage_summary()
         assert summary["salvaged_records"] > 0

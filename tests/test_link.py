@@ -1,5 +1,5 @@
-"""The unified link layer: transport semantics, batching, cache,
-delta drain — and the engine's link-cost gate.
+"""The unified link layer: transport semantics, batching, uncached
+reads, delta drain — and the engine's link-cost gate.
 
 The engine batches program injection and drains coverage in one
 exchange; the cost gate holds it at <= 60% of the link transactions per
@@ -149,28 +149,17 @@ class TestBatching:
         assert session.link.read_u32(marker) == 0xAA
 
 
-# -- read-through cache -------------------------------------------------------
+# -- every read reaches the target --------------------------------------------
 
 
-class TestCache:
-    def test_repeated_read_served_from_cache(self):
-        session = link_session()
-        link = session.link
-        addr = session.build.ram_layout.status_addr
-        first = session.link.read_u32(addr)
-        transactions = link.transactions
-        second = session.link.read_u32(addr)
-        assert second == first
-        assert link.transactions == transactions  # no link traffic
-        assert link.cache_hits >= 1
-
+class TestReadsReachTarget:
     def test_overlapping_write_invalidates(self):
         session = link_session()
         link = session.link
         addr = session.build.ram_layout.input_buf_addr
         session.link.write_memory(addr, b"\x01\x02\x03\x04")
         assert session.link.read_memory(addr, 4) == b"\x01\x02\x03\x04"
-        session.link.write_u32(addr + 2, 0)  # overlaps the cached range
+        session.link.write_u32(addr + 2, 0)  # overlaps the range read above
         transactions = link.transactions
         data = session.link.read_memory(addr, 4)
         assert link.transactions == transactions + 1  # refetched
@@ -186,16 +175,6 @@ class TestCache:
         transactions = link.transactions
         session.link.read_u32(addr)
         assert link.transactions == transactions + 1  # target ran: refetch
-
-    def test_disjoint_write_keeps_cache(self):
-        session = link_session()
-        link = session.link
-        addr = session.build.ram_layout.status_addr
-        session.link.read_u32(addr)
-        session.link.write_u32(session.build.ram_layout.input_buf_addr, 1)
-        transactions = link.transactions
-        session.link.read_u32(addr)
-        assert link.transactions == transactions  # still cached
 
 
 # -- delta coverage drain -----------------------------------------------------
