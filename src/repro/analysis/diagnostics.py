@@ -9,10 +9,7 @@ on codes instead of message text.  Code ranges are reserved per pass:
 * ``EOF2xx`` — kernel reachability and instrumentation-site hygiene
   (:mod:`repro.analysis.reach`),
 * ``EOF3xx`` — repo determinism / hygiene lint
-  (:mod:`repro.analysis.lint`),
-* ``EOF4xx`` — concurrency effects: guarded-attribute discipline and
-  signal safety (:mod:`repro.analysis.concurrency`), plus ``EOF407``
-  for stale inline suppressions (:mod:`repro.analysis.suppress`).
+  (:mod:`repro.analysis.lint`).
 
 An :class:`AnalysisReport` aggregates the diagnostics of one analysis
 run plus pass-level summary numbers, and round-trips through JSON as the
@@ -51,13 +48,6 @@ CODE_TABLE: Dict[str, str] = {
     "EOF306": "metric name not declared in the metric registry",
     "EOF307": "persistent artifact written without the atomic helpers",
     "EOF308": "threading module imported into the single-threaded tree",
-    # -- EOF4xx: concurrency effects ----------------------------------------
-    "EOF401": "guarded attribute written against its @atomic/@main guard",
-    "EOF403": "signal handler exceeds the flag/append effect whitelist",
-    "EOF404": "mutable module global written from signal context",
-    "EOF405": "guarded state mutated from outside its class against "
-              "its guard",
-    "EOF407": "unused suppression comment",
 }
 
 SEV_ERROR = "error"

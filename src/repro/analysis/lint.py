@@ -38,10 +38,11 @@ into machine-checked invariants:
   tails instead.
 * **EOF308** — an import of ``threading``, ``_thread`` or
   ``concurrent.futures``.  The tree runs on one thread: campaign
-  parallelism comes from child processes, and the only context that
-  can preempt the coordinator is a signal handler.  That makes the
-  invariant the EOF4xx concurrency pass rests on — it reasons about
-  main and signal context only — a checked one.
+  parallelism comes from child processes, and the only code that can
+  preempt the coordinator is the CLI's one signal handler,
+  ``_graceful_stop``, which records the signal and sets the
+  orchestrator's stop flag (a second signal raises
+  ``KeyboardInterrupt``).
 
 Exposed as ``eof-fuzz lint`` and run in CI; the suite asserts the tree
 is clean, so any new violation fails the build with its stable code.
@@ -335,19 +336,12 @@ def default_lint_root() -> str:
     return os.path.dirname(os.path.abspath(repro.__file__))
 
 
-def lint_sources(paths: Optional[Sequence[str]] = None,
-                 suppressions=None,
-                 report_unused: bool = True) -> AnalysisReport:
+def lint_sources(paths: Optional[Sequence[str]] = None) -> AnalysisReport:
     """Run every EOF3xx rule over the given files/directories.
 
     Defaults to the installed ``repro`` package tree, which is what
-    ``eof-fuzz lint`` and the CI gate check.  Inline ``# eof:
-    allow[EOF3nn]`` comments drop matching findings; when the pass owns
-    its suppression index (``suppressions=None``) it also reports stale
-    EOF3xx allows as EOF407 unless ``report_unused`` is false.
+    ``eof-fuzz lint`` and the CI gate check.
     """
-    from repro.analysis.suppress import SuppressionIndex
-
     if not paths:
         paths = [default_lint_root()]
     root = os.path.commonpath([os.path.abspath(p) for p in paths]) \
@@ -356,9 +350,6 @@ def lint_sources(paths: Optional[Sequence[str]] = None,
         root = os.path.dirname(root)
     registry = _event_registry()
     metric_registry = _metric_registry()
-    own_index = suppressions is None
-    if own_index:
-        suppressions = SuppressionIndex()
     report = AnalysisReport(target="lint")
     files = 0
     for path in _iter_python_files([os.path.abspath(p) for p in paths]):
@@ -366,21 +357,16 @@ def lint_sources(paths: Optional[Sequence[str]] = None,
         rel_path = _rel(path, root)
         with open(path, encoding="utf-8") as fh:
             source = fh.read()
-        if own_index:
-            suppressions.scan_source(rel_path, source)
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError as exc:
-            report.extend(suppressions.filter([diag(
+            report.add(diag(
                 "EOF305",
                 f"file does not parse: {exc.msg}",
                 where=f"{rel_path}:{exc.lineno or 0}",
-                severity=SEV_ERROR)]))
+                severity=SEV_ERROR))
             continue
-        report.extend(suppressions.filter(
-            _lint_tree(tree, rel_path, registry, metric_registry)))
-    if own_index and report_unused:
-        report.extend(suppressions.unused_diagnostics(("EOF3",)))
+        report.extend(_lint_tree(tree, rel_path, registry, metric_registry))
     report.summary = {"lint.files": files,
                       "lint.rules": sum(1 for code in CODE_TABLE
                                         if code.startswith("EOF3")),

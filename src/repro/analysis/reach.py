@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import ast
 import inspect
-import os
 import textwrap
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -77,23 +76,16 @@ class ReachResult:
         }
 
 
-def _class_method_asts(cls: type) -> Tuple[Dict[str, ast.FunctionDef],
-                                           Dict[str, Tuple[str, int]]]:
-    """``name -> FunctionDef`` across a class's MRO (subclass wins),
-    plus ``name -> (rel_path, file_line)`` real source locations so
-    inline suppressions can match reach diagnostics by line."""
+def _class_method_asts(cls: type) -> Dict[str, ast.FunctionDef]:
+    """``name -> FunctionDef`` across a class's MRO (subclass wins)."""
     out: Dict[str, ast.FunctionDef] = {}
-    locations: Dict[str, Tuple[str, int]] = {}
     for klass in reversed(cls.__mro__):
         if klass is object:
             continue
         try:
             source = textwrap.dedent(inspect.getsource(klass))
-            _lines, class_first = inspect.getsourcelines(klass)
-            source_file = inspect.getsourcefile(klass) or ""
         except (TypeError, OSError):
             continue
-        rel_path = _source_rel(source_file)
         tree = ast.parse(source)
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
@@ -101,20 +93,8 @@ def _class_method_asts(cls: type) -> Tuple[Dict[str, ast.FunctionDef],
                     if isinstance(item, (ast.FunctionDef,
                                          ast.AsyncFunctionDef)):
                         out[item.name] = item
-                        # Snippet linenos are 1-based within the class
-                        # source, which starts at file line class_first:
-                        # file_line = offset + snippet_line.
-                        locations[item.name] = (rel_path, class_first - 1)
                 break
-    return out, locations
-
-
-def _source_rel(source_file: str) -> str:
-    """A source path relative to the ``repro`` package root."""
-    if not source_file:
-        return ""
-    from repro.analysis.lint import _rel, default_lint_root
-    return _rel(os.path.abspath(source_file), default_lint_root())
+    return out
 
 
 def _method_refs(fn_node: ast.FunctionDef, known: Set[str]) -> Set[str]:
@@ -154,28 +134,17 @@ def _cov_overflows(fn_node: ast.FunctionDef,
 def analyze_reachability(kernel_cls: type,
                          component_classes: Sequence[type] = (),
                          site_table: Optional[SiteTable] = None,
-                         os_name: str = "",
-                         suppressions=None) -> ReachResult:
-    """Static reachability of one kernel + components against a build.
-
-    ``suppressions`` (a :class:`repro.analysis.suppress
-    .SuppressionIndex`) drops EOF201/EOF202 findings whose *real*
-    source line carries an ``# eof: allow[...]`` comment; EOF203 has no
-    source location (it tallies runtime clamps) and is not
-    suppressible.
-    """
+                         os_name: str = "") -> ReachResult:
+    """Static reachability of one kernel + components against a build."""
     result = ReachResult(os_name=os_name or
                          getattr(kernel_cls, "NAME", kernel_cls.__name__))
 
     classes: List[type] = [kernel_cls, *component_classes]
     methods: Dict[str, ast.FunctionDef] = {}
-    locations: Dict[str, Tuple[str, int]] = {}
     declared_sites: Dict[str, int] = {}
     roots: Set[str] = set()
     for cls in classes:
-        cls_methods, cls_locations = _class_method_asts(cls)
-        methods.update(cls_methods)
-        locations.update(cls_locations)
+        methods.update(_class_method_asts(cls))
         for meta in collect_kfuncs(cls):
             declared_sites[meta.name] = meta.sites
         roots.update(api.name for api in collect_apis(cls))
@@ -204,21 +173,12 @@ def analyze_reachability(kernel_cls: type,
                 stack.append(callee)
     result.reachable = seen
 
-    def _suppressed(name: str, snippet_line: int, code: str) -> bool:
-        if suppressions is None or name not in locations:
-            return False
-        rel_path, offset = locations[name]
-        return rel_path and suppressions.allows(
-            rel_path, offset + snippet_line, code)
-
     # -- EOF202: static sub-site overflows (independent of the build) -------
     for name, sites in sorted(declared_sites.items()):
         node = methods.get(name)
         if node is None:
             continue
         for sub, line in _cov_overflows(node, sites):
-            if _suppressed(name, line, "EOF202"):
-                continue
             result.diagnostics.append(diag(
                 "EOF202",
                 f"{name} fires sub-site {sub} but declares only "
@@ -243,10 +203,6 @@ def analyze_reachability(kernel_cls: type,
                 entry_returns += 2
             else:
                 result.dead_functions.append(info.symbol)
-                fn_node = methods.get(info.symbol)
-                if fn_node is not None and _suppressed(
-                        info.symbol, fn_node.lineno, "EOF201"):
-                    continue
                 result.diagnostics.append(diag(
                     "EOF201",
                     f"instrumented function {info.symbol!r} "
@@ -296,7 +252,7 @@ def reachable_edge_universe(build) -> int:
     return result.reachable_edges
 
 
-def analyze_build(build, suppressions=None) -> ReachResult:
+def analyze_build(build) -> ReachResult:
     """Reachability of a :class:`~repro.firmware.builder.BuildInfo`."""
     from repro.oses import os_registry
     from repro.oses.components import component_registry
@@ -308,5 +264,4 @@ def analyze_build(build, suppressions=None) -> ReachResult:
                          if name in registry]
     return analyze_reachability(kernel_cls, component_classes,
                                 site_table=build.site_table,
-                                os_name=build.config.os_name,
-                                suppressions=suppressions)
+                                os_name=build.config.os_name)

@@ -76,26 +76,9 @@ def _satisfiable_calls(spec: SpecSet) -> Set[int]:
     return satisfiable
 
 
-def lint_spec(spec: SpecSet, suppressions=None,
-              locations: Dict[str, tuple] = None) -> SpecLintResult:
-    """Run the dataflow lint over one parsed specification.
-
-    Spec diagnostics have no source line of their own (the spec is a
-    synthesized model), so inline suppression needs ``locations``: a
-    ``call name -> (rel_path, line)`` map pointing at the kernel method
-    backing each call (``analyze_target`` builds it from the ``@kapi``
-    surface).  Per-call findings (EOF102/104/105) honor an ``# eof:
-    allow[...]`` on the method's ``def`` line; resource/flags findings
-    (EOF101/103) name no call and are not suppressible.
-    """
+def lint_spec(spec: SpecSet) -> SpecLintResult:
+    """Run the dataflow lint over one parsed specification."""
     result = SpecLintResult(os_name=spec.os_name)
-    locations = locations or {}
-
-    def _suppressed(call_name: str, code: str) -> bool:
-        if suppressions is None or call_name not in locations:
-            return False
-        rel_path, line = locations[call_name]
-        return suppressions.allows(rel_path, line, code)
 
     produced = {call.ret for call in spec.calls if call.ret}
     consumed: Set[str] = set()
@@ -121,8 +104,6 @@ def lint_spec(spec: SpecSet, suppressions=None,
                          if not any(p in satisfiable
                                     for p in spec.producers_of(need)))
         result.dead_call_ids.add(api_id)
-        if _suppressed(call.name, "EOF102"):
-            continue
         result.diagnostics.append(diag(
             "EOF102",
             f"call {call.name!r} can never be satisfied: no reachable "
@@ -144,8 +125,7 @@ def lint_spec(spec: SpecSet, suppressions=None,
         for param in call.params:
             where = f"{call.name}.{param.name}"
             if isinstance(param.type, IntType) and \
-                    param.type.lo > param.type.hi and \
-                    not _suppressed(call.name, "EOF104"):
+                    param.type.lo > param.type.hi:
                 result.diagnostics.append(diag(
                     "EOF104",
                     f"parameter {where} has empty range "
@@ -154,16 +134,13 @@ def lint_spec(spec: SpecSet, suppressions=None,
             if isinstance(param.type, StringType):
                 seen: Set[str] = set()
                 for candidate in param.type.candidates:
-                    if candidate in seen and \
-                            not _suppressed(call.name, "EOF105"):
+                    if candidate in seen:
                         result.diagnostics.append(diag(
                             "EOF105",
                             f"parameter {where}: candidate "
                             f"{candidate!r} shadows an earlier duplicate",
                             where=where, candidate=candidate))
-                    elif candidate not in seen and \
-                            len(candidate) > param.type.maxlen and \
-                            not _suppressed(call.name, "EOF105"):
+                    elif len(candidate) > param.type.maxlen:
                         result.diagnostics.append(diag(
                             "EOF105",
                             f"parameter {where}: candidate "

@@ -21,8 +21,7 @@ exactly the dimensions the paper calls out (§2.2, §5.4.1):
 from __future__ import annotations
 
 from repro.errors import UnsupportedTargetError
-from repro.firmware.builder import BuildInfo, build_firmware
-from repro.firmware.layout import BuildConfig
+from repro.firmware.builder import BuildInfo
 from repro.fuzz.engine import EngineOptions, EofEngine, FuzzResult
 from repro.hw.boards import BOARD_CATALOG
 from repro.spec.model import SpecSet
@@ -61,11 +60,6 @@ class TardisEngine:
     def run(self) -> FuzzResult:
         """Fuzz to the budget."""
         return self.engine.run()
-
-
-def build_for_tardis(os_name: str) -> BuildInfo:
-    """Tardis builds targets for the generic QEMU machine."""
-    return build_firmware(BuildConfig(os_name=os_name, board="qemu-virt"))
 
 
 def supports(os_name: str, board: str) -> bool:

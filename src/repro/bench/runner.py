@@ -110,13 +110,6 @@ class SeedSummary:
         runs = max(len(self.obs_snapshots), 1)
         return {phase: cycles / runs for phase, cycles in totals.items()}
 
-    @property
-    def mean_attribution(self) -> float:
-        """Mean cycle-budget attribution ratio across observed seeds
-        (the >= 0.95 acceptance bar of the telemetry pipeline)."""
-        values = [p.get("attribution", 0.0) for p in self.profiles]
-        return sum(values) / max(len(values), 1)
-
 
 def edges_in_module(result: FuzzResult, build: BuildInfo,
                     module: str) -> int:

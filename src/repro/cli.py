@@ -20,7 +20,6 @@ Subcommands::
                      --out DIR         ... writing analysis.json to DIR
                      --explain CODE    document one diagnostic code
     eof-fuzz lint    [PATH ...]        determinism-lint python sources
-    eof-fuzz concurrency [PATH ...]    concurrency-effect analysis (EOF4xx)
     eof-fuzz repro   --bug N           run a Table 2 bug reproducer
     eof-fuzz bugs                      list the Table 2 bug catalog
 """
@@ -341,8 +340,7 @@ def _cmd_analyze(args) -> int:
         print("analyze: a TARGET (or --explain CODE) is required",
               file=sys.stderr)
         return 1
-    report = analyze_target(args.target, include_lint=not args.no_lint,
-                            include_concurrency=not args.no_concurrency)
+    report = analyze_target(args.target, include_lint=not args.no_lint)
     print(report.render())
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -353,14 +351,11 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_lint(args) -> int:
     from repro.analysis import lint_sources
+    for path in args.paths:
+        if not os.path.exists(path):
+            print(f"lint: no such path {path}", file=sys.stderr)
+            return 1
     report = lint_sources(args.paths or None)
-    print(report.render())
-    return 0 if report.clean else 1
-
-
-def _cmd_concurrency(args) -> int:
-    from repro.analysis import analyze_concurrency
-    report = analyze_concurrency(args.paths or None)
     print(report.render())
     return 0 if report.clean else 1
 
@@ -549,31 +544,22 @@ def main(argv=None) -> int:
 
     analyze_p = sub.add_parser(
         "analyze", help="static analysis: spec lint + reachability + "
-                        "determinism + concurrency")
+                        "determinism")
     analyze_p.add_argument("target", nargs="?", default=None)
     analyze_p.add_argument("--out", default=None, metavar="DIR",
                            help="also write analysis.json into DIR")
     analyze_p.add_argument("--no-lint", action="store_true",
                            help="skip the determinism lint of the host "
                                 "sources")
-    analyze_p.add_argument("--no-concurrency", action="store_true",
-                           help="skip the concurrency-effect pass")
     analyze_p.add_argument("--explain", default=None, metavar="CODE",
                            help="print the documentation of one "
-                                "diagnostic code (e.g. EOF401) and exit")
+                                "diagnostic code (e.g. EOF308) and exit")
 
     lint_p = sub.add_parser(
         "lint", help="determinism lint of the host python sources")
     lint_p.add_argument("paths", nargs="*",
                         help="files/directories to lint (default: the "
                              "installed repro package)")
-
-    conc_p = sub.add_parser(
-        "concurrency", help="concurrency-effect analysis (EOF4xx) of "
-                            "the host python sources")
-    conc_p.add_argument("paths", nargs="*",
-                        help="files/directories to analyze (default: "
-                             "the installed repro package)")
 
     sub.add_parser("bugs", help="list the Table 2 bug catalog")
 
@@ -588,8 +574,7 @@ def main(argv=None) -> int:
                 "run": _cmd_run, "campaign": _cmd_campaign,
                 "report": _cmd_report, "bugs": _cmd_bugs,
                 "repro": _cmd_repro, "spec": _cmd_spec,
-                "analyze": _cmd_analyze, "lint": _cmd_lint,
-                "concurrency": _cmd_concurrency}
+                "analyze": _cmd_analyze, "lint": _cmd_lint}
     try:
         return handlers[args.command](args)
     except BrokenPipeError:

@@ -75,27 +75,6 @@ REC_EPOCH = "E"    # epoch commit: frontier delta + series row
 class CampaignStore:
     """Durable mirror of one campaign's shared state."""
 
-    #: Concurrency contract (EOF401/EOF405): the store is driven from
-    #: the CLI and the orchestrator's epoch barrier only, never from a
-    #: signal handler.  ``@main`` makes the analyzer enforce exactly
-    #: that.
-    GUARDED_BY = {
-        "config": "@main",
-        "epoch": "@main",
-        "edges": "@main",
-        "entries": "@main",
-        "crashes": "@main",
-        "series": "@main",
-        "salvaged_records": "@main",
-        "quarantined_spans": "@main",
-        "quarantined_bytes": "@main",
-        "torn_tail_bytes": "@main",
-        "dropped_uncommitted": "@main",
-        "resumed_from_epoch": "@main",
-        "_digests": "@main",
-        "_writer": "@main",
-    }
-
     def __init__(self, root: str, obs: Optional[Observability] = None):
         self.root = str(root)
         self.obs = obs or NULL_OBS

@@ -106,15 +106,6 @@ class WorkerCore:
     :meth:`close_epoch` takes what is new since the last barrier.
     """
 
-    #: Concurrency contract (EOF401): barrier bookkeeping, written on
-    #: the main thread only — never from the signal handler.
-    GUARDED_BY = {
-        "_offered": "@main",
-        "_delivered": "@main",
-        "_reported_edges": "@main",
-        "_crash_offset": "@main",
-    }
-
     def __init__(self, engine: EofEngine, budget_cycles: int):
         self.engine = engine
         self.budget_cycles = budget_cycles
@@ -276,17 +267,6 @@ class _RemoteHandle(WorkerHandle):
     All I/O happens on the coordinator thread; the fields below are
     coordinator-side mirrors of the worker, advanced by epoch deltas.
     """
-
-    #: Concurrency contract (EOF401): every field is coordinator-only
-    #: barrier bookkeeping, like the worker core's.
-    GUARDED_BY = {
-        "_known": "@main",
-        "_edges": "@main",
-        "_summary": "@main",
-        "_cycles": "@main",
-        "_lost_reason": "@main",
-        "_final": "@main",
-    }
 
     def __init__(self, index: int, spec: WorkerSpec):
         super().__init__(index)

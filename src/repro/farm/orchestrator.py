@@ -181,19 +181,6 @@ EngineFactory = Callable[[int, int, int], EofEngine]
 class CampaignOrchestrator:
     """Run one campaign: N workers, shared corpus, sync epochs."""
 
-    #: Concurrency contract (EOF401/EOF405).  ``@atomic`` — the stop
-    #: flag is written from the CLI signal handler and read at the
-    #: barrier, so writes must stay single constant stores.  ``@main``
-    #: — coordinator bookkeeping, never written from signal context.
-    GUARDED_BY = {
-        "_stop_requested": "@atomic",
-        "_interrupted": "@main",
-        "_last_imported": "@main",
-        "_status": "@main",
-        "_lost": "@main",
-        "_epochs_run": "@main",
-    }
-
     def __init__(self, factory: Optional[EngineFactory],
                  options: Optional[CampaignOptions] = None,
                  obs: Optional[Observability] = None,

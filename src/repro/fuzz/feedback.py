@@ -82,7 +82,3 @@ class CoverageMap:
     def pair_credit_of(self, prev_api: int, api_id: int) -> float:
         """Adjacency credit of emitting ``api_id`` right after ``prev_api``."""
         return self.pair_credit.get((prev_api, api_id), 0.0)
-
-    def snapshot_series_point(self) -> int:
-        """Convenience for time-series recording."""
-        return len(self.edges)

@@ -69,8 +69,3 @@ class LivenessWatchdog:
             return False
         self.last_pc = pc
         return True
-
-    def observe_pc(self, pc: int) -> None:
-        """Feed a PC sampled elsewhere (after a halt event)."""
-        if self.last_pc == INT_MIN:
-            self.last_pc = pc

@@ -217,11 +217,9 @@ def render_report(data: dict, profile: Optional[dict] = None) -> str:
             lines.append(f"  diagnostics: {count} ({rendered})")
         else:
             lines.append("  diagnostics: none")
-        summary = analysis.get("summary", {})
-        for key in ("reach.edge_universe", "conc.classes_guarded",
-                    "conc.signal_handlers"):
-            if key in summary:
-                lines.append(f"  {key:22}: {summary[key]}")
+        universe = analysis.get("summary", {}).get("reach.edge_universe")
+        if universe is not None:
+            lines.append(f"  {'reach.edge_universe':22}: {universe}")
         sections.append("\n".join(lines))
 
     phases = data.get("phases", {})

@@ -36,8 +36,3 @@ def os_registry() -> Dict[str, Type[EmbeddedKernel]]:
         NuttxKernel.NAME: NuttxKernel,
         PokKernel.NAME: PokKernel,
     }
-
-
-def os_names():
-    """Sorted names of all supported embedded OSes."""
-    return sorted(os_registry())

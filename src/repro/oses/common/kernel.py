@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import BusFault, KernelAssertion, KernelPanic, TargetSignal
-from repro.oses.common.api import ApiDef, collect_apis, collect_kfuncs
+from repro.oses.common.api import ApiDef, collect_apis
 from repro.oses.common.context import (
     CAUSE_ASSERT,
     CAUSE_BUS_FAULT,
@@ -94,13 +94,6 @@ class EmbeddedKernel:
     def api_table(self) -> List[ApiDef]:
         """Full fuzzable API surface (kernel + attached components)."""
         return [api for api, _ in self._api_table]
-
-    def api_index(self, name: str) -> int:
-        """Index of API ``name`` in the dispatch table."""
-        for i, (api, _) in enumerate(self._api_table):
-            if api.name == name:
-                return i
-        raise KeyError(name)
 
     def invoke(self, api_id: int, args: Sequence) -> int:
         """Dispatch one deserialized call (used by the execution agent).
@@ -212,15 +205,3 @@ class EmbeddedKernel:
         self.ctx.kprintf(self.PANIC_LOG_FORMAT.format(cause=cause,
                                                       detail=detail))
         self.ctx.record_crash(code, f"{cause}: {detail}")
-
-    # -- shared helpers ---------------------------------------------------------------
-
-    @classmethod
-    def declared_kfuncs(cls):
-        """All instrumentable functions of this kernel class."""
-        return collect_kfuncs(cls)
-
-    @classmethod
-    def declared_apis(cls):
-        """All fuzzable APIs declared directly on this kernel class."""
-        return collect_apis(cls)

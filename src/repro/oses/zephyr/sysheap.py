@@ -91,14 +91,6 @@ class SysHeap:
         self._write_chunk(off, size, used=False, nxt=self.buckets[bucket])
         self.buckets[bucket] = off
 
-    def _bucket_pop(self, bucket: int) -> Optional[int]:
-        off = self.buckets[bucket]
-        if off == 0:
-            return None
-        _, _, nxt = self._read_chunk(off)
-        self.buckets[bucket] = nxt
-        return off
-
     # -- public API --------------------------------------------------------------------
 
     def alloc(self, want: int) -> int:

@@ -1,21 +1,26 @@
 """The repro.analysis static-analysis subsystem: diagnostics model,
 spec dataflow lint (+ generator pruning), kernel reachability, the
-determinism linter, and the analyze/lint CLI surface."""
+determinism linter, ``--explain``, and the analyze/lint CLI surface."""
 
 import dataclasses
 import json
+import os
+import re
 
 import pytest
 
+import repro.analysis
 from repro import cli
 from repro.analysis import (
     ANALYSIS_FILE,
     AnalysisReport,
     CODE_TABLE,
     Diagnostic,
+    analysis_summary,
     analyze_build,
     analyze_target,
     diag,
+    explain_code,
     lint_sources,
     load_analysis_artifact,
     reachable_edge_universe,
@@ -63,7 +68,7 @@ class TestDiagnosticModel:
 
     def test_code_table_covers_all_passes(self):
         prefixes = {code[:4] for code in CODE_TABLE}
-        assert prefixes == {"EOF1", "EOF2", "EOF3", "EOF4"}
+        assert prefixes == {"EOF1", "EOF2", "EOF3"}
 
     def test_diagnostic_round_trip(self):
         d = diag("EOF101", "m", where="w", severity="error", a=1, b="x")
@@ -563,3 +568,78 @@ class TestCli:
         bad.write_text("import time\n\ndef f():\n    return time.time()\n")
         assert cli.main(["lint", str(bad)]) == 1
         assert "EOF301" in capsys.readouterr().out
+
+    def test_lint_missing_path_exits_nonzero(self, tmp_path, capsys):
+        # A mistyped path must not pass as "0 files, no diagnostics".
+        missing = str(tmp_path / "gone")
+        assert cli.main(["lint", missing]) == 1
+        captured = capsys.readouterr()
+        assert missing in captured.err
+        assert "diagnostics" not in captured.out
+
+    def test_explain_known_code(self, capsys):
+        assert cli.main(["analyze", "--explain", "EOF308"]) == 0
+        out = capsys.readouterr().out
+        assert "EOF308" in out and "_graceful_stop" in out
+
+    def test_explain_unknown_exits_one(self, capsys):
+        assert cli.main(["analyze", "--explain", "EOF999"]) == 1
+        assert "unknown diagnostic code" in capsys.readouterr().err
+
+    def test_analyze_requires_target_or_explain(self, capsys):
+        assert cli.main(["analyze"]) == 1
+        assert "required" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# --explain + meta: code registration, docstring sync, report section
+# ---------------------------------------------------------------------------
+
+class TestExplain:
+    @pytest.mark.parametrize("code", sorted(CODE_TABLE))
+    def test_every_registered_code_explains(self, code):
+        text = explain_code(code)
+        assert text is not None and text.startswith(code)
+
+    def test_explain_unknown_code_is_none(self):
+        assert explain_code("EOF999") is None
+
+
+DIAG_CALL = re.compile(r'diag\(\s*\n?\s*"(EOF\d{3})"')
+
+
+class TestMeta:
+    def _analysis_sources(self):
+        package_dir = os.path.dirname(repro.analysis.__file__)
+        for filename in sorted(os.listdir(package_dir)):
+            if filename.endswith(".py"):
+                path = os.path.join(package_dir, filename)
+                with open(path, encoding="utf-8") as fh:
+                    yield fh.read()
+
+    def test_every_emitted_code_is_registered(self):
+        # Any diag("EOFnnn", ...) literal in the analysis package must
+        # have a CODE_TABLE entry.
+        emitted = set()
+        for source in self._analysis_sources():
+            emitted.update(DIAG_CALL.findall(source))
+        assert emitted, "no diag() literals found — regex rot?"
+        unregistered = emitted - set(CODE_TABLE)
+        assert not unregistered, unregistered
+
+    def test_lint_docstring_documents_its_codes(self):
+        import repro.analysis.lint as lint_module
+        with open(lint_module.__file__, encoding="utf-8") as fh:
+            emitted = set(DIAG_CALL.findall(fh.read()))
+        documented = set(re.findall(r"EOF\d{3}",
+                                    lint_module.__doc__ or ""))
+        assert emitted <= documented, emitted - documented
+
+    def test_report_txt_renders_analysis_section(self, tmp_path):
+        dirty = tmp_path / "dirty.py"
+        dirty.write_text("import time\n\ndef f():\n    return time.time()\n")
+        data = {"run_id": "t", "meta": {},
+                "analysis": analysis_summary(lint_sources([str(dirty)]))}
+        text = render_report(data)
+        assert "Static analysis" in text
+        assert "EOF301 x1" in text

@@ -328,3 +328,24 @@ class TestCliKillResume:
             env=cli_env(), capture_output=True, text=True, timeout=300)
         assert resumed.returncode == 0, resumed.stderr
         assert "resuming from epoch" in resumed.stdout
+
+    def test_second_sigint_aborts_hard(self, tmp_path):
+        # The stop handler's second branch: a repeated SIGINT raises
+        # KeyboardInterrupt out of the running epoch, so the process
+        # dies by the signal instead of waiting for the barrier.  The
+        # large sync interval (the last --sync-interval wins) keeps the
+        # first barrier seconds away.
+        root = str(tmp_path / "state")
+        proc = subprocess.Popen(
+            CLI + ["--budget", "8000000", "--sync-interval", "4000000",
+                   "--state-dir", root],
+            env=cli_env(), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+        assert wait_for(lambda: os.path.exists(
+            os.path.join(root, JOURNAL_FILE)))
+        proc.send_signal(signal.SIGINT)
+        time.sleep(0.3)
+        proc.send_signal(signal.SIGINT)
+        _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == -signal.SIGINT, stderr
+        assert "campaign interrupted" not in stderr
