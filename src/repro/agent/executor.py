@@ -74,6 +74,8 @@ class AgentRuntime(TargetRuntime):
             self.kernel.boot()
         except TargetSignal:
             return False
+        finally:
+            self.ctx.tracer.land()
         self._write_status(STATUS_IDLE)
         self._park_at("executor_main")
         return True
@@ -107,19 +109,28 @@ class AgentRuntime(TargetRuntime):
     # -- the state machine ---------------------------------------------------------
 
     def step(self) -> HaltEvent:
-        """One ``-exec-continue`` worth of progress."""
-        machine = self.board.machine
-        machine.tick(50)  # loop plumbing
-        if self.phase == AgentPhase.WAIT_PROG:
-            return self._step_read_prog()
-        if self.phase == AgentPhase.PROG_READY:
-            return self._step_arm_execution()
-        if self.phase == AgentPhase.EXECUTING:
-            return self._step_execute()
-        # CRASHED / STALLED: the core never makes progress again.
-        machine.wedge(f"agent {self.phase.value}")
-        return HaltEvent(reason=HaltReason.STALL, pc=machine.pc,
-                         detail=machine.wedge_detail)
+        """One ``-exec-continue`` worth of progress.
+
+        The tracer takes its write index from RAM as the core resumes
+        and lands its records as the core halts, however the step ends.
+        """
+        tracer = self.ctx.tracer
+        tracer.resume()
+        try:
+            machine = self.board.machine
+            machine.tick(50)  # loop plumbing
+            if self.phase == AgentPhase.WAIT_PROG:
+                return self._step_read_prog()
+            if self.phase == AgentPhase.PROG_READY:
+                return self._step_arm_execution()
+            if self.phase == AgentPhase.EXECUTING:
+                return self._step_execute()
+            # CRASHED / STALLED: the core never makes progress again.
+            machine.wedge(f"agent {self.phase.value}")
+            return HaltEvent(reason=HaltReason.STALL, pc=machine.pc,
+                             detail=machine.wedge_detail)
+        finally:
+            tracer.land()
 
     def _step_read_prog(self) -> HaltEvent:
         self._park_at("read_prog")

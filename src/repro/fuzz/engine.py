@@ -579,6 +579,7 @@ class EofEngine:
                     self.obs.counter("link.drain.skipped").inc()
                 return 0
             edges = decode_coverage_buffer(raw, obs=self.obs)
+            self.stats.cov_records_drained += len(edges)
             fresh_edges = self.coverage.add_new(edges)
             self._fresh_edges.extend(fresh_edges)
             fresh = len(fresh_edges)

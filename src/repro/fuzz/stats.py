@@ -16,7 +16,8 @@ from typing import Dict, List, Sequence, Tuple
 _INF_EDGES = float("inf")
 
 #: FuzzStats fields that measure transport cost, not fuzzing outcome.
-LINK_ACCOUNTING_FIELDS = ("link_transactions", "link_bytes")
+LINK_ACCOUNTING_FIELDS = ("link_transactions", "link_bytes",
+                          "cov_records_drained")
 
 #: FuzzStats fields that measure *how* state was restored, not what the
 #: run found.  Snapshot-tier and reflash-tier runs of the same seed
@@ -72,10 +73,12 @@ class FuzzStats:
     # repro.analysis.reach); 0 when analysis was unavailable.
     reachable_edges: int = 0
     # Debug-link accounting (repro.link): how many transactions and
-    # frame bytes the run cost.  Excluded from semantic_dict(): they
-    # measure how commands were grouped, not what the fuzzer found.
+    # frame bytes the run cost, and how many coverage records the
+    # drains decoded.  Excluded from semantic_dict(): they measure
+    # transport, not what the fuzzer found.
     link_transactions: int = 0
     link_bytes: int = 0
+    cov_records_drained: int = 0
     # Cycle-clock reading when the fuzzing loop started: the profiler's
     # budget baseline (boot cycles are not the fuzzer's to spend).
     start_cycles: int = 0

@@ -5,6 +5,15 @@ Wire format of the coverage buffer (a byte range in target RAM)::
     u32 count          number of edge records that follow
     u32 edge[count]    (prev_site << 16) | cur_site
 
+The count word is the target's write index, as in a SanCov buffer that
+keeps its count in the buffer: the tracer reads it back when the core
+resumes, so a host drain (which zeroes it) makes the next run append
+from 0.  Between a resume and the next halt the tracer keeps new records
+in a list; when the core halts, the records, the count word and the drain
+generation word land in RAM in one write.  A halt is the only time the
+debug port can read RAM, so the host sees exactly what per-record writes
+would have left there.
+
 The tracer stops appending once the buffer is full and raises a *pending
 trap* flag; the execution agent notices it at the next safe point and
 halts at ``_kcmp_buf_full`` so the host can drain and clear the buffer
@@ -13,6 +22,7 @@ halts at ``_kcmp_buf_full`` so the host can drain and clear the buffer
 
 from __future__ import annotations
 
+import struct
 from typing import List, Optional, Set
 
 from repro.hw.memory import Ram
@@ -50,11 +60,7 @@ def decode_coverage_buffer(raw: bytes, obs=None) -> List[int]:
             obs.emit("cov.truncated", lost_records=count - max_records,
                      header_count=count, capacity=max_records)
         count = max_records
-    edges = []
-    for i in range(count):
-        off = COV_HEADER_BYTES + i * COV_RECORD_BYTES
-        edges.append(int.from_bytes(raw[off:off + 4], "little"))
-    return edges
+    return list(struct.unpack_from(f"<{count}I", raw, COV_HEADER_BYTES))
 
 
 class SancovTracer:
@@ -87,7 +93,8 @@ class SancovTracer:
         self.trap_pending = False
         self.total_hits = 0       # lifetime callback count (stats)
         self.dropped_hits = 0     # hits lost while the buffer was full
-        self._count = 0
+        self._count = 0           # write index: records in RAM + pending
+        self._pending: List[int] = []
         self._last_edge = -1
 
     def module_enabled(self, module: str) -> bool:
@@ -104,9 +111,38 @@ class SancovTracer:
     def clear(self) -> None:
         """Zero the buffer header (host does this after draining)."""
         self._count = 0
+        self._pending.clear()
         self.trap_pending = False
         self._last_edge = -1
         self.ram.write_u32(self.buf_addr, 0)
+
+    def resume(self) -> None:
+        """The core resumes: take the write index from the count word.
+
+        A host drain zeroed that word, so the run appends from 0 again.
+        """
+        self._count = min(self.ram.read_u32(self.buf_addr), self.capacity)
+
+    def land(self) -> None:
+        """The core halts: write the pending records, then the count
+        word, then the generation word bumped once per record.
+
+        No cycles are charged: hardware paid for each record when its
+        callback ran.  The generation word only moves when a record
+        lands, so an unchanged word tells the host the buffer content
+        is exactly what it last drained.
+        """
+        pending = self._pending
+        if not pending:
+            return
+        n = len(pending)
+        offset = COV_HEADER_BYTES + (self._count - n) * COV_RECORD_BYTES
+        self.ram.write(self.buf_addr + offset, struct.pack(f"<{n}I", *pending))
+        self.ram.write_u32(self.buf_addr, self._count)
+        if self.gen_addr:
+            self.generation = (self.generation + n) & 0xFFFFFFFF
+            self.ram.write_u32(self.gen_addr, self.generation)
+        pending.clear()
 
     def hit(self, site: int) -> int:
         """Record the edge into ``site``; returns cycles consumed."""
@@ -122,21 +158,13 @@ class SancovTracer:
             self.trap_pending = True
             self.dropped_hits += 1
             return TRACE_CYCLE_COST
-        off = self.buf_addr + COV_HEADER_BYTES + self._count * COV_RECORD_BYTES
-        self.ram.write_u32(off, edge)
+        self._pending.append(edge)
         self._count += 1
-        self.ram.write_u32(self.buf_addr, self._count)
-        if self.gen_addr:
-            # Bump the drain generation only when a record actually
-            # lands — an unchanged word tells the host the buffer
-            # content is exactly what it last drained.
-            self.generation = (self.generation + 1) & 0xFFFFFFFF
-            self.ram.write_u32(self.gen_addr, self.generation)
         if self._count >= self.capacity:
             self.trap_pending = True
         return TRACE_CYCLE_COST
 
     @property
     def record_count(self) -> int:
-        """Number of records currently buffered."""
+        """Number of records currently buffered (in RAM plus pending)."""
         return self._count

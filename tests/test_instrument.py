@@ -61,6 +61,7 @@ class TestTracer:
         a = table.for_symbol("fn_a")
         tracer.hit(a.site(0))
         tracer.hit(a.site(1))
+        tracer.land()
         edges = decode_coverage_buffer(
             tracer.ram.read(tracer.buf_addr, tracer.buf_size))
         assert edges == [edge_id(0, a.site(0)),
@@ -111,6 +112,7 @@ class TestTracer:
         tracer.hit(a.site(0))
         tracer.reset_run_state()
         tracer.hit(a.site(0))
+        tracer.land()
         # Both runs record the same entry edge; dedup happens host-side.
         edges = decode_coverage_buffer(
             tracer.ram.read(tracer.buf_addr, tracer.buf_size))

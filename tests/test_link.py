@@ -1,5 +1,6 @@
 """The unified link layer: transport semantics, batching, uncached
-reads, delta drain — and the engine's link-cost gate.
+reads, delta drain — and the engine's link-cost and drained-records
+gates.
 
 The engine batches program injection and drains coverage in one
 exchange; the cost gate holds it at <= 60% of the link transactions per
@@ -15,6 +16,8 @@ from conftest import cached_build, boot_target
 from repro.ddi.session import open_session
 from repro.errors import DebugLinkError, ProtocolError
 from repro.fuzz.engine import EngineOptions, EofEngine
+from repro.fuzz.targets import get_target
+from repro.instrument.sancov import SancovTracer
 from repro.link import (
     Command,
     DebugLink,
@@ -213,6 +216,7 @@ class TestDeltaDrain:
         gen_before = target.board.memory.read_u32(tracer.gen_addr)
         tracer.hit(3)
         tracer.hit(5)
+        tracer.land()
         assert target.board.memory.read_u32(tracer.gen_addr) > gen_before
 
 
@@ -251,6 +255,56 @@ class TestEngineLinkCost:
         data = result.stats.to_dict()
         assert "link_transactions" in data and "link_bytes" in data
         assert "link_transactions" not in result.stats.semantic_dict()
+
+
+# -- drained coverage records: a work counter with a ceiling ------------------
+
+#: Ceiling on ``FuzzStats.cov_records_drained`` at seed 7 and 500k
+#: cycles.  A change that lowers a count lowers its ceiling; raising one
+#: needs a stated reason.  A tracer that ignores the host's drain
+#: re-reads old records on every drain: 109,046 / 50,057 / 30,791 /
+#: 14,856 / 266,141 on these five targets.
+DRAINED_RECORDS_CEILING = {"freertos": 4664, "rt-thread": 4046,
+                           "zephyr": 7227, "nuttx": 2526, "pokos": 12806}
+
+_drain_runs = {}
+
+
+def drain_run(os_name):
+    """Engine stats at seed 7 and 500k cycles, plus the records the
+    tracer landed: hits that were neither collapsed nor dropped."""
+    if os_name not in _drain_runs:
+        landed = [0]
+        original = SancovTracer.__dict__["hit"]
+
+        def counting_hit(tracer, site):
+            before = tracer.record_count
+            cycles = original(tracer, site)
+            landed[0] += tracer.record_count - before
+            return cycles
+
+        SancovTracer.hit = counting_hit
+        try:
+            _, result = run_engine(os_name, get_target(os_name).board,
+                                   budget=500_000)
+        finally:
+            SancovTracer.hit = original
+        _drain_runs[os_name] = (result.stats, landed[0])
+    return _drain_runs[os_name]
+
+
+@pytest.mark.parametrize("os_name", sorted(DRAINED_RECORDS_CEILING))
+class TestDrainedRecords:
+    def test_every_landed_record_is_drained_once(self, os_name):
+        stats, landed = drain_run(os_name)
+        assert landed > 0
+        assert stats.cov_records_drained == landed
+
+    def test_drained_records_under_ceiling(self, os_name):
+        stats, _ = drain_run(os_name)
+        assert stats.cov_records_drained <= \
+            DRAINED_RECORDS_CEILING[os_name]
+        assert "cov_records_drained" not in stats.semantic_dict()
 
 
 # -- codec smoke (the exhaustive version is property-tested) ------------------

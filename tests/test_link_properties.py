@@ -8,7 +8,8 @@ Four contracts the rest of the stack silently leans on:
 * every read returns what target memory holds, even after the target
   changed it behind the link's back,
 * a delta coverage drain returns exactly the records target RAM holds
-  (none when it skips) and leaves the buffer's count word at 0.
+  (none when it skips), which are the records the tracer landed since
+  the last drain, and leaves the buffer's count word at 0.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from conftest import cached_build  # noqa: E402
 from repro.ddi.session import open_session  # noqa: E402
@@ -190,6 +191,9 @@ drain_rounds = st.lists(
 
 
 @given(drain_rounds)
+# Records land and are drained, twice, across a forgotten drain state.
+@example([([3, 5, 7], "cov_drain"), ([9, 3], "forget_drain_state"),
+          ([4], "cov_drain")])
 @settings(max_examples=60, deadline=None)
 def test_delta_drain_returns_exactly_what_target_ram_holds(rounds):
     session = open_session(cached_build("pokos", "qemu-virt"))
@@ -197,12 +201,22 @@ def test_delta_drain_returns_exactly_what_target_ram_holds(rounds):
     memory = session.board.memory
     layout = session.build.ram_layout
     capacity = (layout.cov_buf_size - 4) // 4
+    # Records the tracer landed since the last drain (boot records
+    # included): each must be drained exactly once.
+    landed = session.board.runtime.kernel.ctx.tracer.record_count
     for sites, action in rounds:
+        # A round is one resume..halt of the core: the tracer takes its
+        # write index from RAM, records its hits, and lands them.
         tracer = session.board.runtime.kernel.ctx.tracer
+        tracer.resume()
+        before = tracer.record_count
         for site in sites:
             tracer.hit(site)
+        tracer.land()
+        landed += tracer.record_count - before
         if action == "reset_run":
             link.reset_run()
+            landed = session.board.runtime.kernel.ctx.tracer.record_count
             continue
         if action == "forget_drain_state":
             link.forget_drain_state()
@@ -214,4 +228,6 @@ def test_delta_drain_returns_exactly_what_target_ram_holds(rounds):
                              gen_addr=layout.cov_gen_addr)
         drained = [] if raw is None else decode_coverage_buffer(raw)
         assert drained == held
+        assert len(drained) == landed
         assert memory.read_u32(layout.cov_buf_addr) == 0
+        landed = 0
