@@ -9,8 +9,9 @@ it back by rewriting only what changed.
 :class:`SnapshotManager` implements that tier for one debug session:
 
 * **capture** — one batched link transaction reads all of RAM plus the
-  coverage generation word; the CPU register file and a deep copy of the
-  booted runtime are taken through the probe-side APIs
+  coverage generation word; the CPU register file and a pickled image
+  of the booted runtime (hardware pinned by persistent id) are taken
+  through the probe-side APIs
   (:meth:`repro.hw.machine.Machine.capture_registers`,
   :meth:`repro.hw.board.Board.capture_runtime_image`).  A deterministic
   canary word is planted in the unused tail of the agent status block
@@ -21,12 +22,14 @@ it back by rewriting only what changed.
   ranges (kernel heap, agent status, crash block, coverage buffer), a
   reset marks everything.
 * **restore** — write back only the dirty pages plus the canary in one
-  ``link.batch()``, restore the register file, install a fresh copy
-  of the captured runtime, then *verify*: read back the generation word
-  and the canary.  A mismatch means the snapshot (or the write-back) is
-  suspect — the restore fails, the recovery ladder escalates to the
-  reflash tier, and after ``SUSPECT_THRESHOLD`` strikes the snapshot
-  invalidates itself so the engine re-captures from a clean boot.
+  ``link.batch()``, one ``write_memory`` per contiguous run of dirty
+  pages (the virtual clock still charges every page), restore the
+  register file, install a runtime freshly unpickled from the image,
+  then *verify*: read back the generation word and the canary.  A
+  mismatch means the snapshot (or the write-back) is suspect — the
+  restore fails, the recovery ladder escalates to the reflash tier, and
+  after ``SUSPECT_THRESHOLD`` strikes the snapshot invalidates itself so
+  the engine re-captures from a clean boot.
 * **invalidation** — any flash write bumps the link's ``flash_epoch``;
   a snapshot taken against an older image refuses to restore (the RAM
   image would disagree with what the new image boots into).
@@ -182,25 +185,34 @@ class SnapshotManager:
 
     # -- restore ---------------------------------------------------------------
 
-    def _dirty_page_spans(self) -> List[Tuple[int, int]]:
-        """(addr, length) spans to write back, clipped to RAM."""
+    def _dirty_runs(self) -> Tuple[List[Tuple[int, int]], int]:
+        """Dirty pages clipped to RAM, merged into contiguous
+        ``(addr, length)`` runs, and the number of pages they cover."""
         ram = self.session.board.ram
         link = self.session.link
         if link.dirty_all:
             pages = pages_for_range(ram.base, ram.size)
         else:
             pages = sorted(link.dirty_pages())
-        spans = []
+        runs: List[List[int]] = []
+        page_count = 0
         for page in pages:
             start = max(page * DIRTY_PAGE_SIZE, ram.base)
             end = min((page + 1) * DIRTY_PAGE_SIZE, ram.base + ram.size)
-            if start < end:
-                spans.append((start, end - start))
-        return spans
+            if start >= end:
+                continue
+            page_count += 1
+            if runs and runs[-1][1] == start:
+                runs[-1][1] = end
+            else:
+                runs.append([start, end])
+        return [(start, end - start) for start, end in runs], page_count
 
     def restore(self) -> bool:
         """Write dirty pages + registers back; verify; True on success.
 
+        Each contiguous run of dirty pages goes out as one
+        ``write_memory``; the virtual clock still charges every page.
         A failed verify counts a suspect strike and returns False (the
         ladder escalates to reflash); ``SUSPECT_THRESHOLD`` strikes
         invalidate the snapshot entirely.
@@ -212,11 +224,11 @@ class SnapshotManager:
         link = session.link
         machine = board.machine
         started_at = machine.cycles
-        spans = self._dirty_page_spans()
+        runs, pages = self._dirty_runs()
         base = board.ram.base
         try:
             with link.batch():
-                for addr, length in spans:
+                for addr, length in runs:
                     link.write_memory(
                         addr, self._ram_image[addr - base:
                                               addr - base + length])
@@ -225,25 +237,28 @@ class SnapshotManager:
             return self._suspect("write-back-fault")
         machine.restore_registers(self._registers)
         board.restore_runtime_image(self._runtime_image)
+        if self.stats is not None:
+            self.stats.snapshot_write_commands += len(runs)
+            self.stats.runtime_image_bytes += len(self._runtime_image)
         # The restore rewound the tracer's generation word: the next
         # coverage drain must be a full one, exactly like after a reboot.
         link.forget_drain_state()
         machine.tick(SNAPSHOT_RESTORE_BASE_CYCLES
-                     + SNAPSHOT_PAGE_WRITE_CYCLES * len(spans))
+                     + SNAPSHOT_PAGE_WRITE_CYCLES * pages)
         if not self._verify_probe():
             return self._suspect("verify-mismatch")
         link.clear_dirty()
         self.restores += 1
-        self.pages_written += len(spans)
+        self.pages_written += pages
         self.suspect_count = 0
         spent = machine.cycles - started_at
         if self.stats is not None:
             self.stats.snapshot_restores += 1
-            self.stats.snapshot_pages_written += len(spans)
+            self.stats.snapshot_pages_written += pages
         if self.obs.enabled:
-            self.obs.counter("restore.snapshot.pages").inc(len(spans))
+            self.obs.counter("restore.snapshot.pages").inc(pages)
             self.obs.histogram("restore.snapshot.latency").record(spent)
-            self.obs.emit("restore.snapshot.restore", pages=len(spans),
+            self.obs.emit("restore.snapshot.restore", pages=pages,
                           cycles_spent=spent)
         return True
 

@@ -15,9 +15,11 @@ from typing import Dict, List, Sequence, Tuple
 
 _INF_EDGES = float("inf")
 
-#: FuzzStats fields that measure transport cost, not fuzzing outcome.
-LINK_ACCOUNTING_FIELDS = ("link_transactions", "link_bytes",
-                          "cov_records_drained")
+#: FuzzStats fields that measure work done (transport and restore
+#: cost), not fuzzing outcome.
+WORK_ACCOUNTING_FIELDS = ("link_transactions", "link_bytes",
+                          "cov_records_drained", "snapshot_write_commands",
+                          "runtime_image_bytes")
 
 #: FuzzStats fields that measure *how* state was restored, not what the
 #: run found.  Snapshot-tier and reflash-tier runs of the same seed
@@ -79,6 +81,12 @@ class FuzzStats:
     link_transactions: int = 0
     link_bytes: int = 0
     cov_records_drained: int = 0
+    # Restore work (repro.fuzz.snapshot): the write_memory commands the
+    # write-backs sent (one per contiguous run of dirty pages) and the
+    # runtime-image bytes unpickled, summed over restores.  Excluded
+    # from semantic_dict() like the link accounting.
+    snapshot_write_commands: int = 0
+    runtime_image_bytes: int = 0
     # Cycle-clock reading when the fuzzing loop started: the profiler's
     # budget baseline (boot cycles are not the fuzzer's to spend).
     start_cycles: int = 0
@@ -125,12 +133,12 @@ class FuzzStats:
 
     def semantic_dict(self, restore_invariant: bool = False) \
             -> Dict[str, object]:
-        """:meth:`to_dict` minus link accounting.
+        """:meth:`to_dict` minus work accounting.
 
         This is the equality domain of a change that only regroups link
-        commands: everything the fuzzer *found* (coverage, crashes,
-        recoveries, the whole time series) must stay byte-identical;
-        only the transport cost may differ.
+        commands or restore work: everything the fuzzer *found*
+        (coverage, crashes, recoveries, the whole time series) must stay
+        byte-identical; only the transport and restore cost may differ.
 
         ``restore_invariant=True`` additionally drops the
         restore-accounting fields and replaces the ``(cycles, edges)``
@@ -140,7 +148,7 @@ class FuzzStats:
         still match exactly.
         """
         data = self.to_dict()
-        for name in LINK_ACCOUNTING_FIELDS:
+        for name in WORK_ACCOUNTING_FIELDS:
             data.pop(name, None)
         if restore_invariant:
             for name in RESTORE_ACCOUNTING_FIELDS:

@@ -11,7 +11,9 @@ trips watchdog #1 in Algorithm 1.
 
 from __future__ import annotations
 
-import copy
+import copyreg
+import io
+import pickle
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import DebugLinkTimeout
@@ -123,33 +125,39 @@ class Board:
 
     # -- runtime-image snapshot (repro.fuzz.snapshot) ----------------------------
 
-    def _snapshot_pins(self) -> dict:
-        """Deepcopy memo pinning the live hardware into a runtime copy.
+    def _snapshot_pins(self) -> tuple:
+        """The hardware a runtime image refers to but never contains.
 
         The runtime object graph (kernel, agent, tracer, contexts) must
         be copied so a later restore rewinds it, but everything it
         references *below* the firmware boundary — the board itself, the
         machine, the memories, the UART — is the one physical device and
         must stay shared, or the restored runtime would execute against
-        phantom hardware.
+        phantom hardware.  The image stores each of these as a
+        persistent id (its index here), and a restore resolves the ids
+        to the live objects.
         """
-        pins = (self, self.machine, self.flash, self.ram, self.uart,
+        return (self, self.machine, self.flash, self.ram, self.uart,
                 self.memory)
-        return {id(obj): obj for obj in pins}
 
-    def capture_runtime_image(self):
-        """Deep-copy the booted runtime with the hardware pinned."""
+    def capture_runtime_image(self) -> bytes:
+        """Pickle the booted runtime once, with the hardware pinned."""
         if self.runtime is None:
             raise RuntimeError(f"{self.name}: no runtime to capture")
-        return copy.deepcopy(self.runtime, self._snapshot_pins())
+        image = io.BytesIO()
+        _RuntimePickler(image, self._snapshot_pins()).dump(self.runtime)
+        return image.getvalue()
 
-    def restore_runtime_image(self, image) -> None:
-        """Install a fresh copy of a captured runtime.
+    def restore_runtime_image(self, image: bytes) -> None:
+        """Install a fresh runtime unpickled from a captured image.
 
-        The template itself is never installed — each restore gets its
-        own deepcopy, so one snapshot serves arbitrarily many restores.
+        The image is immutable bytes and each restore builds its own
+        object graph from it, so one snapshot serves arbitrarily many
+        restores.
         """
-        self.runtime = copy.deepcopy(image, self._snapshot_pins())
+        unpickler = pickle.Unpickler(io.BytesIO(image))
+        unpickler.persistent_load = self._snapshot_pins().__getitem__
+        self.runtime = unpickler.load()
         self.boot_failed = False
 
     # -- run control (used by the debug port) -----------------------------------
@@ -191,3 +199,56 @@ class Board:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Board {self.name} ({self.arch})>"
+
+
+# -- runtime-image pickling (Board.capture/restore_runtime_image) --------------
+
+
+def _assign_attributes(obj, state: dict) -> None:
+    """Pickle state setter: rebuild an instance attribute by attribute.
+
+    Pickle's default BUILD fills ``obj.__dict__`` in place.  On CPython
+    3.11 that leaves a materialised split dict, on which the interpreter
+    does not specialise attribute loads, so every program on a restored
+    runtime would run slower.  Assigning each attribute keeps the values
+    inline, as ``__init__`` does.  ``object.__setattr__`` also reaches
+    through frozen dataclasses, as BUILD does.
+    """
+    for name, value in state.items():
+        object.__setattr__(obj, name, value)
+
+
+def _assigns_attributes(cls: type) -> bool:
+    """Is ``cls`` a ``repro`` class pickled as ``__new__`` + its __dict__?
+
+    Classes with their own ``__new__``, reduce, state protocol or
+    ``__slots__`` (enums, exceptions, slotted nodes) keep pickle's
+    default handling.
+    """
+    return (cls.__module__.startswith("repro.")
+            and cls.__new__ is object.__new__
+            and cls.__reduce_ex__ is object.__reduce_ex__
+            and cls.__reduce__ is object.__reduce__
+            and getattr(cls, "__getstate__", None)
+            is getattr(object, "__getstate__", None)
+            and not hasattr(cls, "__setstate__")
+            and not hasattr(cls, "__slots__"))
+
+
+class _RuntimePickler(pickle.Pickler):
+    """Pickles a runtime, storing the board's hardware as persistent ids
+    and plain ``repro`` instances for :func:`_assign_attributes`."""
+
+    def __init__(self, file, pins: tuple):
+        super().__init__(file, protocol=5)
+        self._pin_ids = {id(obj): index for index, obj in enumerate(pins)}
+
+    def persistent_id(self, obj):
+        return self._pin_ids.get(id(obj))
+
+    def reducer_override(self, obj):
+        cls = type(obj)
+        if not _assigns_attributes(cls):
+            return NotImplemented
+        return (copyreg.__newobj__, (cls,), obj.__dict__, None, None,
+                _assign_attributes)

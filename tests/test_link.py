@@ -5,7 +5,8 @@ gates.
 The engine batches program injection and drains coverage in one
 exchange; the cost gate holds it at <= 60% of the link transactions per
 program that the historical one-command-per-round-trip path needed
-(a frozen measurement: that path no longer exists).
+(a frozen measurement: that path no longer exists).  Per-OS ceilings
+pin the drained coverage records and the snapshot restore work.
 """
 
 from __future__ import annotations
@@ -228,10 +229,11 @@ class TestDeltaDrain:
 UNBATCHED_TXNS_PER_PROGRAM = 9.17
 
 
-def run_engine(os_name, board, seed=7, budget=400_000):
+def run_engine(os_name, board, seed=7, budget=400_000, restore_every=0):
     build = cached_build(os_name, board)
     spec = generate_validated_specs(build)
-    options = EngineOptions(seed=seed, budget_cycles=budget)
+    options = EngineOptions(seed=seed, budget_cycles=budget,
+                            restore_every=restore_every)
     engine = EofEngine(build, spec, options)
     result = engine.run()
     return engine, result
@@ -305,6 +307,50 @@ class TestDrainedRecords:
         assert stats.cov_records_drained <= \
             DRAINED_RECORDS_CEILING[os_name]
         assert "cov_records_drained" not in stats.semantic_dict()
+
+
+# -- snapshot restore work: counters with ceilings ----------------------------
+
+#: Ceilings on ``FuzzStats.snapshot_write_commands`` and
+#: ``FuzzStats.runtime_image_bytes`` at seed 7, 500k cycles and a
+#: snapshot restore after every program.  A write-back that sends one
+#: command per dirty page needs 6,052 / 5,963 / 4,183 / 7,120 / 2,492
+#: commands (freertos / rt-thread / zephyr / nuttx / pokos) for the
+#: same pages.  Runtime images are 6-25 KiB; one that drags the
+#: board's RAM along is about ten times larger.
+SNAPSHOT_WRITE_COMMANDS_CEILING = {"freertos": 68, "rt-thread": 67,
+                                   "zephyr": 47, "nuttx": 80, "pokos": 28}
+RUNTIME_IMAGE_BYTES_CEILING = {"freertos": 1_429_992, "rt-thread": 1_767_642,
+                               "zephyr": 821_466, "nuttx": 1_366_854,
+                               "pokos": 171_136}
+
+_restore_runs = {}
+
+
+def restore_run(os_name):
+    """Engine stats at seed 7 and 500k cycles, restoring every program."""
+    if os_name not in _restore_runs:
+        _, result = run_engine(os_name, get_target(os_name).board,
+                               budget=500_000, restore_every=1)
+        _restore_runs[os_name] = result.stats
+    return _restore_runs[os_name]
+
+
+@pytest.mark.parametrize("os_name", sorted(SNAPSHOT_WRITE_COMMANDS_CEILING))
+class TestRestoreWork:
+    def test_write_commands_under_ceiling(self, os_name):
+        stats = restore_run(os_name)
+        assert stats.snapshot_restores > 0
+        assert 0 < stats.snapshot_write_commands <= \
+            SNAPSHOT_WRITE_COMMANDS_CEILING[os_name]
+        assert stats.snapshot_write_commands < stats.snapshot_pages_written
+        assert "snapshot_write_commands" not in stats.semantic_dict()
+
+    def test_runtime_image_bytes_under_ceiling(self, os_name):
+        stats = restore_run(os_name)
+        assert 0 < stats.runtime_image_bytes <= \
+            RUNTIME_IMAGE_BYTES_CEILING[os_name]
+        assert "runtime_image_bytes" not in stats.semantic_dict()
 
 
 # -- codec smoke (the exhaustive version is property-tested) ------------------

@@ -20,11 +20,14 @@ from repro.ddi.session import open_session
 from repro.fuzz.engine import EngineOptions, EofEngine
 from repro.fuzz.snapshot import (
     SNAPSHOT_CANARY,
+    SNAPSHOT_PAGE_WRITE_CYCLES,
+    SNAPSHOT_RESTORE_BASE_CYCLES,
     SUSPECT_THRESHOLD,
     SnapshotManager,
 )
 from repro.fuzz.stats import FuzzStats
 from repro.link.client import DIRTY_PAGE_SIZE, pages_for_range
+from repro.link.codec import OP_WRITE_MEM
 from repro.spec.llmgen import generate_validated_specs
 
 from conftest import cached_build
@@ -209,3 +212,61 @@ class TestSnapshotManager:
         assert manager.capture()
         assert session.link.read_u32(manager.canary_addr) == \
             SNAPSHOT_CANARY
+
+    def test_restored_runtime_references_live_hardware(self):
+        session, manager = self.make_manager()
+        board = session.board
+        assert manager.capture()
+        assert manager.restore()
+        runtime = board.runtime
+        assert runtime.board is board
+        assert runtime.ctx.board is board
+        assert runtime.ctx.ram is board.ram
+        assert runtime.ctx.machine is board.machine
+
+    def test_restores_from_one_image_are_independent(self):
+        session, manager = self.make_manager()
+        board = session.board
+        pristine_ticks = board.runtime.kernel.tick_count
+        pristine_handles = set(board.runtime.kernel.handles)
+        assert manager.capture()
+        assert manager.restore()
+        first = board.runtime
+        first.kernel.tick_count += 1000
+        first.kernel.handles[max(pristine_handles) + 1] = object()
+        assert manager.restore()
+        second = board.runtime
+        assert second is not first
+        assert second.kernel is not first.kernel
+        assert second.kernel.tick_count == pristine_ticks
+        assert set(second.kernel.handles) == pristine_handles
+
+    def test_write_back_is_one_command_per_dirty_run(self, monkeypatch):
+        session, manager = self.make_manager()
+        link = session.link
+        machine = session.board.machine
+        assert manager.capture()
+        heap = session.build.ram_layout.kernel_heap_base
+        first = (heap, 2 * DIRTY_PAGE_SIZE)
+        second = (heap + 8 * DIRTY_PAGE_SIZE, 4)
+        for addr, length in (first, second):
+            link.write_memory(addr, b"\x5a" * length)
+        pages = len(set(pages_for_range(*first))
+                    | set(pages_for_range(*second)))
+        sent = []
+        transact = link.transport.transact
+
+        def counting_transact(commands):
+            sent.extend(cmd.op for cmd in commands)
+            return transact(commands)
+
+        monkeypatch.setattr(link.transport, "transact", counting_transact)
+        started_at = machine.cycles
+        assert manager.restore()
+        assert sent.count(OP_WRITE_MEM) == 2
+        assert manager.stats.snapshot_write_commands == 2
+        assert manager.pages_written == pages
+        assert manager.stats.snapshot_pages_written == pages
+        assert machine.cycles - started_at == \
+            SNAPSHOT_RESTORE_BASE_CYCLES + SNAPSHOT_PAGE_WRITE_CYCLES * pages
+
