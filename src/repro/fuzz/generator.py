@@ -12,7 +12,7 @@ generation guidance the paper describes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.agent.protocol import (
     ArgData,
@@ -58,39 +58,60 @@ class ProgramGenerator:
         if self.pruned:
             self.enabled = [i for i in self.enabled if i not in self.pruned]
         self._producers: Dict[str, List[int]] = {}
+        # One row per enabled call: what call choice scores it by.
+        self._rows: List[Tuple[int, Tuple[str, ...], Optional[str],
+                               bool]] = []
         for api_id in self.enabled:
             call = spec.calls[api_id]
             if call.ret:
                 self._producers.setdefault(call.ret, []).append(api_id)
+            self._rows.append((api_id, tuple(call.consumes()), call.ret,
+                               call.pseudo))
 
     # -- call selection ---------------------------------------------------------
 
-    def _call_weight(self, api_id: int, produced: Dict[str, List[int]],
-                     prev_api: Optional[int]) -> float:
-        call = self.spec.calls[api_id]
-        weight = 1.0
-        needs = call.consumes()
-        for resource in needs:
-            if produced.get(resource):
-                weight += 2.0   # adjacency: its inputs are on the table
-            else:
-                weight -= 0.5   # would need a producer insertion
-        if call.ret and not produced.get(call.ret):
-            weight += 1.0       # opens a new resource for later calls
-        if call.pseudo:
-            weight += 0.5       # pseudo functions drive deep sequences
-        if self.coverage is not None:
-            weight += min(self.coverage.credit_of(api_id), 8.0)
-            if prev_api is not None:
-                weight += min(self.coverage.pair_credit_of(prev_api, api_id),
-                              12.0)
-        return max(weight, 0.1)
+    def _call_weights(self, produced: Dict[str, List[int]],
+                      prev_api: Optional[int]) -> List[float]:
+        """Weight of every enabled call, in ``self.enabled`` order.
+
+        Resource adjacency first (+2 per input on the table, -0.5 per
+        missing one, +1 for opening a new resource, +0.5 for a pseudo
+        call), then the call's credit capped at 8, then the pair credit
+        after ``prev_api`` capped at 12, then a floor of 0.1.  The
+        static terms are exact in binary floating point and a missing
+        credit adds 0.0, so ``coverage=None`` and ``prev_api=None`` run
+        the same loop with the same bits.  The caps and the floor are
+        conditionals with ``min``/``max``'s exact semantics because the
+        builtin calls cost more than the rest of this hot loop.
+        """
+        coverage = self.coverage
+        credit = coverage.call_credit if coverage is not None else {}
+        pairs = coverage.pair_credit \
+            if coverage is not None and prev_api is not None else {}
+        has = produced.get
+        weights = []
+        for api_id, needs, ret, pseudo in self._rows:
+            weight = 1.0
+            for resource in needs:
+                if has(resource):
+                    weight += 2.0   # adjacency: its inputs are on the table
+                else:
+                    weight -= 0.5   # would need a producer insertion
+            if ret and not has(ret):
+                weight += 1.0       # opens a new resource for later calls
+            if pseudo:
+                weight += 0.5       # pseudo functions drive deep sequences
+            own = credit.get(api_id, 0.0)
+            weight += 8.0 if own > 8.0 else own
+            pair = pairs.get((prev_api, api_id), 0.0)
+            weight += 12.0 if pair > 12.0 else pair
+            weights.append(0.1 if weight < 0.1 else weight)
+        return weights
 
     def _choose_call(self, produced: Dict[str, List[int]],
                      prev_api: Optional[int] = None) -> int:
-        weights = [self._call_weight(api_id, produced, prev_api)
-                   for api_id in self.enabled]
-        return self.rng.pick_weighted(self.enabled, weights)
+        return self.rng.pick_weighted(self.enabled,
+                                      self._call_weights(produced, prev_api))
 
     # -- argument generation ---------------------------------------------------------
 

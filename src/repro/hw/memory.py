@@ -36,21 +36,21 @@ class MemoryRegion:
         self.name = name
         self.base = base
         self.size = size
+        #: One past the last valid address.
+        self.end = base + size
         self._data = bytearray(size)
-
-    @property
-    def end(self) -> int:
-        """One past the last valid address."""
-        return self.base + self.size
 
     def contains(self, address: int, length: int = 1) -> bool:
         """Return True if ``[address, address+length)`` is inside the region."""
         return length >= 0 and self.base <= address and address + length <= self.end
 
     def _check(self, address: int, length: int, kind: str) -> int:
+        # Every target memory access lands here: compare against the
+        # stored bounds inline (a zero-length access still needs its
+        # address inside the region).
         if length < 0:
             raise BusFault(address, kind=f"negative-length {kind}")
-        if not self.contains(address, max(length, 1)):
+        if address < self.base or address + (length or 1) > self.end:
             raise BusFault(address, kind=kind)
         return address - self.base
 

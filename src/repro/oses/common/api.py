@@ -16,6 +16,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
+from repro.errors import TargetSignal
+
 _ORDER = itertools.count()
 
 DEFAULT_SITES = 8
@@ -120,9 +122,11 @@ def kfunc(module: str = "kernel", sites: int = DEFAULT_SITES,
           code_size: int = 0) -> Callable:
     """Mark a kernel method as an instrumented function.
 
-    The wrapper enters a machine stack frame (moving the PC, charging
-    cycles, firing the entry coverage site and checking breakpoints)
-    around the Python body.  Objects using it must expose ``self.ctx``
+    The wrapper runs the context's prologue
+    (:meth:`~repro.oses.common.context.KernelContext.enter`) before the
+    Python body and an epilogue after it: ``leave`` on a return,
+    ``leave_on_signal`` on a :class:`~repro.errors.TargetSignal`, nothing
+    on any other exception.  Objects using it must expose ``self.ctx``
     (a :class:`repro.oses.common.context.KernelContext`).
     """
 
@@ -132,8 +136,15 @@ def kfunc(module: str = "kernel", sites: int = DEFAULT_SITES,
 
         @functools.wraps(fn)
         def wrapper(self, *args, **kwargs):
-            with self.ctx.frame(meta.name, meta.module):
-                return fn(self, *args, **kwargs)
+            ctx = self.ctx
+            ctx.enter(meta.name, meta.module)
+            try:
+                result = fn(self, *args, **kwargs)
+            except TargetSignal:
+                ctx.leave_on_signal()
+                raise
+            ctx.leave()
+            return result
 
         wrapper.__kfunc__ = meta
         wrapper.__kfunc_raw__ = fn

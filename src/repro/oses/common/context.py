@@ -58,12 +58,14 @@ class KernelContext:
 
     # -- frames / coverage -------------------------------------------------
 
-    @contextlib.contextmanager
-    def frame(self, symbol: str, module: str):
-        """Enter an instrumented function.
+    def enter(self, symbol: str, module: str) -> None:
+        """Prologue of an instrumented function.
 
-        On a :class:`TargetSignal` the machine frames are *not* popped, so
-        the debug probe can unwind the exact crash stack (Figure 6).
+        In order: push the machine frame (PC to the symbol's address,
+        ``cycles_per_call`` charged), push the site block, fire the entry
+        site when the module is instrumented, then record a breakpoint
+        armed on the entry address.  Nothing is cached per boot: this
+        context is part of the pickled runtime image (DESIGN §5).
         """
         address = self.addresses.get(symbol, 0)
         self.machine.push_frame(
@@ -74,14 +76,31 @@ class KernelContext:
             self.machine.tick(self.tracer.hit(info.base))
         if address and self.machine.breakpoint_at(address):
             self.bp_hits.append(address)
+
+    def leave(self) -> None:
+        """Epilogue of a normal return: pop the site block and the
+        machine frame (PC back to the caller)."""
+        self._site_stack.pop()
+        self.machine.pop_frame()
+
+    def leave_on_signal(self) -> None:
+        """Epilogue of a :class:`TargetSignal`: pop only the site block.
+
+        The machine frames stay, so the debug probe can unwind the
+        exact crash stack (Figure 6).  Any other exception pops nothing.
+        """
+        self._site_stack.pop()
+
+    @contextlib.contextmanager
+    def frame(self, symbol: str, module: str):
+        """The ``with`` form of a ``@kfunc`` call's prologue and epilogue."""
+        self.enter(symbol, module)
         try:
             yield
         except TargetSignal:
-            self._site_stack.pop()
+            self.leave_on_signal()
             raise
-        else:
-            self._site_stack.pop()
-            self.machine.pop_frame()
+        self.leave()
 
     def cov(self, sub_site: int) -> None:
         """Fire sub-site ``sub_site`` of the current function.

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import KernelPanic, TargetSignal
+from repro.instrument.sancov import TRACE_CYCLE_COST
+from repro.oses.common.api import kfunc
 from repro.oses.common.dlist import DList, DListNode
 
 from conftest import boot_target
@@ -130,3 +132,73 @@ class TestKernelContext:
         machine.set_breakpoint(block, "block")
         kernel.xQueueCreate(0, 8)   # takes the rejected branch
         assert block in ctx.bp_hits
+
+
+class _Probe:
+    """An empty function run through the real ``@kfunc`` wrapper.
+
+    It borrows the freertos symbol ``xQueueCreate`` (module ``ipc``), so
+    the prologue finds that symbol's address and site block, and its
+    body charges nothing, so a test sees the prologue's charge alone.
+    """
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+
+    @kfunc(module="ipc")
+    def xQueueCreate(self, error=None):
+        if error is not None:
+            raise error
+
+
+class TestKfuncFrames:
+    """The ``@kfunc`` prologue and epilogue exit rules, through real calls."""
+
+    def test_normal_return_pops_both_stacks(self, freertos):
+        ctx, machine = freertos.ctx, freertos.board.machine
+        ctx.enter("load_partitions", "kernel")      # the caller
+        depth, sites = machine.stack_depth(), len(ctx._site_stack)
+        assert freertos.kernel.xQueueCreate(4, 8) > 0
+        assert machine.stack_depth() == depth
+        assert len(ctx._site_stack) == sites
+        assert machine.pc == ctx.addresses["load_partitions"]
+
+    def test_panic_keeps_the_machine_frame_and_pops_the_site_block(
+            self, freertos):
+        ctx, machine = freertos.ctx, freertos.board.machine
+        depth, sites = machine.stack_depth(), len(ctx._site_stack)
+        with pytest.raises(KernelPanic):
+            freertos.kernel.load_partitions(56, 2)   # injected bug #13
+        assert machine.stack_depth() == depth + 1
+        assert machine.backtrace()[0].symbol == "load_partitions"
+        assert machine.pc == ctx.addresses["load_partitions"]
+        assert len(ctx._site_stack) == sites
+
+    def test_host_exception_pops_nothing(self, freertos):
+        ctx, machine = freertos.ctx, freertos.board.machine
+        depth, sites = machine.stack_depth(), len(ctx._site_stack)
+        with pytest.raises(ValueError):
+            _Probe(ctx).xQueueCreate(ValueError("not a target signal"))
+        assert machine.stack_depth() == depth + 1
+        assert len(ctx._site_stack) == sites + 1
+
+    def test_entry_breakpoint_lands_in_bp_hits(self, freertos):
+        ctx = freertos.ctx
+        entry = ctx.addresses["xQueueCreate"]
+        freertos.board.machine.set_breakpoint(entry, "entry")
+        freertos.kernel.xQueueCreate(4, 8)
+        assert entry in ctx.bp_hits
+
+    @pytest.mark.parametrize("enabled_modules, traced", [
+        (None, True), ({"ipc"}, True), ({"kernel"}, False)])
+    def test_entry_charge_follows_module_instrumentation(
+            self, freertos, enabled_modules, traced):
+        machine, tracer = freertos.board.machine, freertos.ctx.tracer
+        tracer.enabled_modules = enabled_modules
+        tracer.reset_run_state()
+        cycles, records = machine.cycles, tracer.record_count
+        _Probe(freertos.ctx).xQueueCreate()
+        expected = machine.cycles_per_call + (TRACE_CYCLE_COST if traced
+                                              else 0)
+        assert machine.cycles - cycles == expected
+        assert tracer.record_count - records == (1 if traced else 0)

@@ -1,6 +1,8 @@
 """Fuzzer internals: generator, mutator, corpus, feedback, monitors,
 watchdog, restoration, codec failures in the engine loop."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,7 +26,8 @@ from repro.fuzz.restore import StateRestoration
 from repro.fuzz.rng import FuzzRng
 from repro.fuzz.watchdog import LivenessWatchdog
 from repro.spec.llmgen import generate_validated_specs
-from repro.spec.model import ResourceRef
+from repro.spec.model import CallDef, Param, ResourceDef, ResourceRef, \
+    SpecSet
 
 from conftest import cached_build
 
@@ -96,6 +99,88 @@ class TestGenerator:
             1 for _ in range(200)
             if gen._choose_call({}, prev_api=None) == second)
         assert favoured > baseline * 2
+
+
+RESOURCES = ("r0", "r1", "r2", "r3")
+
+#: Credits exactly at, just under and just over the 8.0 and 12.0 caps,
+#: mixed with arbitrary ones.
+CREDITS = st.one_of(
+    st.floats(min_value=0.0, max_value=30.0),
+    st.sampled_from([8.0, 12.0, math.nextafter(8.0, 0.0),
+                     math.nextafter(8.0, 99.0), math.nextafter(12.0, 0.0),
+                     math.nextafter(12.0, 99.0)]))
+
+
+def reference_call_weight(gen, api_id, produced, prev_api):
+    """The per-call weight formula ``_call_weights`` replaced, kept as
+    written before the one-pass loop: the bits it must reproduce."""
+    call = gen.spec.calls[api_id]
+    weight = 1.0
+    needs = call.consumes()
+    for resource in needs:
+        if produced.get(resource):
+            weight += 2.0
+        else:
+            weight -= 0.5
+    if call.ret and not produced.get(call.ret):
+        weight += 1.0
+    if call.pseudo:
+        weight += 0.5
+    if gen.coverage is not None:
+        weight += min(gen.coverage.credit_of(api_id), 8.0)
+        if prev_api is not None:
+            weight += min(gen.coverage.pair_credit_of(prev_api, api_id),
+                          12.0)
+    return max(weight, 0.1)
+
+
+def synthetic_spec(shapes):
+    """One producer per resource, then a call per ``(needs, ret,
+    pseudo)`` shape; two or more missing inputs take a call's static
+    sum to the 0.1 floor."""
+    calls = [CallDef(name=f"make_{r}", ret=r) for r in RESOURCES]
+    for index, (needs, ret, pseudo) in enumerate(shapes):
+        calls.append(CallDef(
+            name=f"call{index}",
+            params=tuple(Param(f"a{i}", ResourceRef(r))
+                         for i, r in enumerate(needs)),
+            ret=ret, pseudo=pseudo))
+    return SpecSet(os_name="synthetic",
+                   resources={r: ResourceDef(r) for r in RESOURCES},
+                   calls=calls)
+
+
+class TestCallWeights:
+    @given(shapes=st.lists(st.tuples(
+               st.lists(st.sampled_from(RESOURCES), max_size=4),
+               st.sampled_from((None,) + RESOURCES), st.booleans()),
+               min_size=1, max_size=10),
+           produced=st.dictionaries(st.sampled_from(RESOURCES),
+                                    st.lists(st.integers(0, 9), max_size=2)),
+           call_credit=st.dictionaries(st.integers(0, 15), CREDITS),
+           pair_credit=st.dictionaries(st.integers(0, 15), CREDITS),
+           prev_api=st.one_of(st.none(), st.integers(0, 15)),
+           with_coverage=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_weights_bit_identical_to_reference(
+            self, shapes, produced, call_credit, pair_credit, prev_api,
+            with_coverage):
+        coverage = None
+        if with_coverage:
+            # Pair credits follow prev_api (or call 0 when there is no
+            # previous call, where they must be ignored).
+            coverage = CoverageMap()
+            coverage.call_credit.update(call_credit)
+            coverage.pair_credit.update(
+                ((prev_api or 0, api_id), credit)
+                for api_id, credit in pair_credit.items())
+        gen = ProgramGenerator(synthetic_spec(shapes), FuzzRng(0),
+                               coverage=coverage)
+        expected = [reference_call_weight(gen, api_id, produced, prev_api)
+                    for api_id in gen.enabled]
+        assert [w.hex() for w in gen._call_weights(produced, prev_api)] \
+            == [w.hex() for w in expected]
 
 
 class TestMutator:
