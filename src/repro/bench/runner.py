@@ -2,7 +2,11 @@
 
 Every engine (EOF, EOF-nf, Tardis, GDBFuzz, SHIFT, Gustave) is built
 fresh per seed — new board, new image, new RNG — so seeds are genuinely
-independent repetitions, as in the paper's 5-run protocol.
+independent repetitions, as in the paper's 5-run protocol.  Campaign
+workers are built the same way, but by the worker itself:
+:func:`make_campaign` hands the orchestrator a
+:class:`~repro.farm.WorkerSpec` template, and each worker builds its
+engine with :func:`repro.farm.procworker.build_engine`.
 """
 
 from __future__ import annotations
@@ -277,14 +281,14 @@ def make_campaign(target: TargetConfig, workers: int,
                   sync_interval: int = 400_000, import_cap: int = 2,
                   import_min_novelty: int = 2,
                   obs: Optional[Observability] = None,
-                  worker_obs: Optional[Callable[[int],
-                                                Observability]] = None,
                   epoch_hook: Optional[Callable[[dict], None]] = None,
                   state_dir: Optional[str] = None,
                   resume: bool = False,
                   warm_start_dir: Optional[str] = None,
                   snapshots: bool = True,
-                  backend: str = "inline"):
+                  backend: str = "inline",
+                  trace_dir: Optional[str] = None,
+                  sample_interval: int = 0):
     """Build (but do not run) one multi-board campaign orchestrator.
 
     Splitting construction from :meth:`~repro.farm.CampaignOrchestrator.run`
@@ -295,23 +299,14 @@ def make_campaign(target: TargetConfig, workers: int,
     store's last committed epoch and continues.  ``warm_start_dir``
     pre-seeds the shared corpus from *another* campaign's store.
     ``backend`` picks where workers execute (``inline`` on the
-    coordinator thread, or ``process``); the process backend builds its
-    engines in the child, so ``worker_obs`` only applies to the inline
-    backend.
+    coordinator thread, or ``process``).  Under either backend,
+    ``trace_dir`` makes every worker write its own artifact set into
+    ``<trace_dir>/worker-<i>/``, its time series sampled every
+    ``sample_interval`` cycles.
     """
     from repro.farm import (CampaignOptions, CampaignOrchestrator,
                             WorkerSpec)
     from repro.farm.orchestrator import campaign_config
-
-    def factory(index: int, seed: int, budget_cycles: int) -> EofEngine:
-        # Each worker engine constructs its own SnapshotManager against
-        # its own board — per-worker snapshots, no shared state.
-        build = build_firmware(target.build_config())
-        spec = generate_validated_specs(build)
-        bundle = worker_obs(index) if worker_obs is not None else None
-        return EofEngine(build, spec, EngineOptions(
-            seed=seed, budget_cycles=budget_cycles,
-            snapshots=snapshots, name=f"eof-w{index}"), obs=bundle)
 
     options = CampaignOptions(
         campaign_seed=campaign_seed, workers=workers,
@@ -320,10 +315,9 @@ def make_campaign(target: TargetConfig, workers: int,
         import_cap=import_cap,
         import_min_novelty=import_min_novelty,
         backend=backend)
-    worker_spec = None
-    if backend != "inline":
-        worker_spec = WorkerSpec(target=target.name,
-                                 snapshots=snapshots)
+    worker_spec = WorkerSpec(target=target.name, snapshots=snapshots,
+                             trace_dir=trace_dir or "",
+                             sample_interval=sample_interval)
     store = None
     if state_dir is not None:
         from repro.db import CampaignStore
@@ -334,10 +328,9 @@ def make_campaign(target: TargetConfig, workers: int,
         from repro.db import CampaignStore
         warm_entries = CampaignStore.read(
             warm_start_dir, obs=obs).corpus_entries()
-    orchestrator = CampaignOrchestrator(factory, options, obs=obs,
+    orchestrator = CampaignOrchestrator(worker_spec, options, obs=obs,
                                         store=store,
-                                        warm_entries=warm_entries,
-                                        worker_spec=worker_spec)
+                                        warm_entries=warm_entries)
     orchestrator.epoch_hook = epoch_hook
     return orchestrator
 
@@ -352,12 +345,11 @@ def run_campaign(target: TargetConfig, workers: int,
     is in virtual cycles per worker; 0 disables syncing, which makes
     the campaign exactly N independent single-board runs whose stats
     are merged at the end — the scaling baseline the benchmark
-    compares against.  ``worker_obs`` (worker index -> bundle) attaches
-    per-worker observability, e.g. one trace subdirectory per board.
-    ``epoch_hook`` is called on the coordinator thread at every sync
-    barrier with the epoch summary (the ``--dashboard`` feed).  See
-    :func:`make_campaign` for the persistence knobs (``state_dir``,
-    ``resume``, ``warm_start_dir``).
+    compares against.  ``epoch_hook`` is called on the coordinator
+    thread at every sync barrier with the epoch summary (the
+    ``--dashboard`` feed).  See :func:`make_campaign` for the
+    per-worker traces (``trace_dir``) and the persistence knobs
+    (``state_dir``, ``resume``, ``warm_start_dir``).
     """
     return make_campaign(target, workers, total_budget_cycles,
                          **kwargs).run()

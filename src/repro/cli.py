@@ -75,18 +75,12 @@ def _cmd_run(args) -> int:
     build = build_firmware(target.build_config())
     obs = None
     if args.trace_dir:
-        from repro.obs import (FlightRecorder, JsonlSink, Observability,
-                               TimeSeriesSampler)
-        from repro.obs.report import EVENTS_FILE
-        from repro.obs.timeseries import TIMESERIES_FILE
-        os.makedirs(args.trace_dir, exist_ok=True)
-        obs = Observability(
-            run_id=f"{args.fuzzer}-{args.target}-seed{args.seed}")
-        obs.attach(JsonlSink(os.path.join(args.trace_dir, EVENTS_FILE)))
-        obs.sampler = TimeSeriesSampler(
-            _sample_interval(args.sample_interval, args.budget),
-            path=os.path.join(args.trace_dir, TIMESERIES_FILE))
-        obs.attach_flight(FlightRecorder(args.trace_dir))
+        from repro.obs.report import open_trace
+        obs = open_trace(
+            args.trace_dir,
+            run_id=f"{args.fuzzer}-{args.target}-seed{args.seed}",
+            sample_interval=_sample_interval(args.sample_interval,
+                                             args.budget))
     engine = make_engine(args.fuzzer, build, args.seed, args.budget,
                          obs=obs, chaos=args.chaos,
                          chaos_seed=args.chaos_seed,
@@ -151,43 +145,16 @@ def _cmd_campaign(args) -> int:
         print("--resume requires --state-dir", file=sys.stderr)
         return 1
     obs = None
-    worker_obs = None
     epoch_hook = None
-    worker_bundles = []
-    per_worker_budget = max(args.budget // max(args.workers, 1), 1)
     if args.trace_dir:
-        from repro.obs import (FlightRecorder, JsonlSink, Observability,
-                               TimeSeriesSampler)
-        from repro.obs.report import EVENTS_FILE
-        from repro.obs.timeseries import TIMESERIES_FILE
-        os.makedirs(args.trace_dir, exist_ok=True)
-        obs = Observability(
-            run_id=f"campaign-{args.target}-seed{args.seed}")
-        obs.attach(JsonlSink(os.path.join(args.trace_dir, EVENTS_FILE)))
+        from repro.obs.report import open_trace
         # The campaign-level series is barrier-driven (one row per sync
         # epoch, recorded by the orchestrator); the interval only names
         # the epoch width for consumers of the artifact.
-        obs.sampler = TimeSeriesSampler(
-            max(args.sync_interval, 1),
-            path=os.path.join(args.trace_dir, TIMESERIES_FILE))
-
-        def worker_obs(index: int):
-            # One trace subdirectory per board: worker-<i>/events.jsonl
-            # plus the worker's own timeseries and flight dumps.
-            subdir = os.path.join(args.trace_dir, f"worker-{index}")
-            os.makedirs(subdir, exist_ok=True)
-            bundle = Observability(
-                run_id=f"campaign-{args.target}-seed{args.seed}"
-                       f"-w{index}")
-            bundle.attach(JsonlSink(os.path.join(subdir, EVENTS_FILE)))
-            bundle.sampler = TimeSeriesSampler(
-                _sample_interval(args.sample_interval,
-                                 per_worker_budget),
-                path=os.path.join(subdir, TIMESERIES_FILE))
-            bundle.attach_flight(FlightRecorder(subdir))
-            worker_bundles.append(bundle)
-            return bundle
-
+        obs = open_trace(args.trace_dir,
+                         run_id=f"campaign-{args.target}-seed{args.seed}",
+                         sample_interval=max(args.sync_interval, 1),
+                         flight=False)
     if args.dashboard:
         from repro.obs.render import render_dashboard
 
@@ -195,13 +162,6 @@ def _cmd_campaign(args) -> int:
             print(render_dashboard(
                 summary, ansi=sys.stdout.isatty()))
 
-    if args.backend != "inline" and worker_obs is not None:
-        # Remote workers build their engines in the child; per-worker
-        # observability bundles cannot cross the transport.
-        print(f"note: per-worker traces need the inline backend; "
-              f"the {args.backend} backend writes campaign-level "
-              f"artifacts only", file=sys.stderr)
-        worker_obs = None
     print(f"campaign on {target.name}: {args.workers} workers "
           f"({args.backend} backend), total budget {args.budget} "
           f"cycles, sync every {args.sync_interval} cycles, "
@@ -237,11 +197,13 @@ def _cmd_campaign(args) -> int:
                 campaign_seed=args.seed,
                 sync_interval=args.sync_interval,
                 import_cap=args.import_cap, obs=obs,
-                worker_obs=worker_obs,
                 epoch_hook=epoch_hook, state_dir=args.state_dir,
                 resume=args.resume, warm_start_dir=args.warm_start,
                 snapshots=not args.no_snapshot,
-                backend=args.backend)
+                backend=args.backend, trace_dir=args.trace_dir,
+                sample_interval=_sample_interval(
+                    args.sample_interval,
+                    max(args.budget // max(args.workers, 1), 1)))
         except StoreError as exc:
             print(f"campaign store: {exc}", file=sys.stderr)
             return 1
@@ -282,25 +244,18 @@ def _cmd_campaign(args) -> int:
               f"epoch {triaged.first_epoch}:")
         print(triaged.report.render())
     if obs is not None:
-        from repro.obs.profile import aggregate_profiles, build_profile
+        from repro.farm.wire import worker_trace_dir
+        from repro.obs.profile import (PROFILE_FILE, aggregate_profiles,
+                                       load_profile)
         from repro.obs.report import (collect_campaign_data,
-                                      collect_run_data,
                                       write_run_artifacts)
-        # Per-worker artifact sets first (each worker dir becomes a
-        # self-contained run directory), then the campaign-level set
-        # with the workers' profiles summed into one budget tree.
-        worker_profiles = []
-        for index, bundle in enumerate(worker_bundles):
-            bundle.close()
-            worker_stats = result.worker_results[index].stats
-            worker_data = collect_run_data(
-                bundle, stats=worker_stats, meta={
-                    "target": args.target, "worker": index,
-                    "campaign_seed": args.seed})
-            worker_profiles.append(build_profile(worker_data))
-            write_run_artifacts(
-                os.path.join(args.trace_dir, f"worker-{index}"),
-                worker_data)
+        # Every finished worker wrote its own artifact set into
+        # worker-<i>/; the campaign profile sums their budget trees.
+        worker_dirs = [worker_trace_dir(args.trace_dir, index)
+                       for index in range(args.workers)]
+        worker_profiles = [
+            load_profile(run_dir) for run_dir in worker_dirs
+            if os.path.exists(os.path.join(run_dir, PROFILE_FILE))]
         obs.close()
         data = collect_campaign_data(obs, stats, meta={
             "target": args.target, "workers": args.workers,

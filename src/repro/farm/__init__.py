@@ -7,18 +7,18 @@ and a cross-worker crash triage table, with cycle-based sync epochs
 keeping the whole campaign deterministic given ``(campaign_seed,
 workers, sync_interval)``.
 
-Workers run behind the :class:`WorkerHandle` interface, each on one
-:class:`WorkerCore` (an engine plus its barrier bookkeeping): inline
-on the coordinator thread, one board after another (the determinism
-reference), or one child process per board (journal-CRC frames over
-pipes) — selected by ``CampaignOptions.backend``.
+Every worker is built from one :class:`WorkerSpec` and runs its board
+on one :class:`WorkerCore` (an engine plus its barrier bookkeeping);
+the coordinator speaks one request/reply protocol to all of them
+over journal-CRC frames.  ``CampaignOptions.backend`` picks the transport:
+an in-memory frame pair answered on the coordinator thread, one board
+after another (``inline``, the determinism reference), or one child
+process per board with the frames over pipes (``process``).
 """
 
 from repro.farm.handles import (  # noqa: F401 (re-exported surface)
-    InlineHandle,
     ProcessHandle,
     WorkerCore,
-    WorkerHandle,
     WorkerLost,
     build_worker_handles,
 )
@@ -45,12 +45,10 @@ __all__ = [
     "CampaignOrchestrator",
     "CampaignResult",
     "CampaignState",
-    "InlineHandle",
     "ProcessHandle",
     "SeedProvenance",
     "TriagedCrash",
     "WorkerCore",
-    "WorkerHandle",
     "WorkerLost",
     "WorkerSpec",
     "WorkerTransportError",

@@ -1,35 +1,37 @@
-"""Worker handles: one interface, an inline backend and a process backend.
+"""Worker handles: one protocol, two transports.
 
-The orchestrator drives every worker through one interface,
-:class:`WorkerHandle` — begin/join an epoch, inspect what the worker
-knows, deliver imports, collect the final result — so *where* the
-engine runs (on the coordinator or in a child process) is a transport
-decision, not an orchestration one.
+The orchestrator drives every worker through one handle class,
+:class:`_RemoteHandle`, which speaks the whole protocol — begin/join
+an epoch, inspect what the worker knows, deliver imports, collect the
+final result — so *where* the engine runs (on the coordinator or in a
+child process) is a transport decision, not an orchestration one.
+Every worker is built from its :class:`~repro.farm.wire.WorkerSpec`
+by :class:`repro.farm.procworker.Worker`, which runs the board
+through one :class:`WorkerCore`: the engine plus the barrier
+bookkeeping that turns an epoch into a delta (entries not yet
+offered, edges not yet reported, crashes past the last offset).
 
-Both backends run their board through one :class:`WorkerCore`: the
-engine plus the barrier bookkeeping that turns an epoch into a delta
-(entries not yet offered, edges not yet reported, crashes past the
-last offset).
+* ``inline`` (:class:`_RemoteHandle` itself) — the worker lives in
+  this process behind an in-memory frame pair
+  (:class:`~repro.farm.wire.MemoryFrameIO`); each request is answered
+  on the coordinator thread while it is sent, so an epoch runs inside
+  ``begin_epoch``, one board after another.  This is the determinism
+  reference: fixed ``(campaign_seed, workers, sync_interval)``
+  campaigns stay byte-identical.
+* ``process`` (:class:`ProcessHandle`) — the worker lives in a child
+  process (``python -m repro.farm.procworker``), the same frames
+  carried over its pipes.
 
-* :class:`InlineHandle` — the core lives in this process; its epoch
-  runs on the coordinator thread inside ``begin_epoch``, one board
-  after another, and its delta is taken at the barrier.  This is the
-  determinism reference: fixed ``(campaign_seed, workers,
-  sync_interval)`` campaigns stay byte-identical.
-* :class:`ProcessHandle` — the core lives in a child process
-  (``python -m repro.farm.procworker``), epoch results exchanged as
-  canonical-JSON frames over pipes under the journal's CRC discipline
-  (:mod:`repro.farm.wire`).
-
-The process handle mirrors the worker's offered/delivered digest sets
-and edge frontier on the coordinator, updating them from each epoch's
-*delta*.  At a barrier the mirror equals the live engine state the
-inline backend reads directly: pushes always precede pulls within a
-barrier, delivered imports only execute in the *next* epoch (so they
-arrive in the next delta), and a DONE worker's later deltas
-are empty.  That equality is what makes the process backend produce
-the same merged frontier, corpus digests and crash signatures as the
-inline reference — with O(delta) traffic.
+Both transports carry journal-CRC frames of identical canonical-JSON
+payloads (:mod:`repro.farm.wire`).  The handle mirrors the worker's
+offered/delivered digest sets, edge frontier, summary and clock on
+the coordinator, updating them from the ``started`` reply and from
+each epoch's *delta*.  At a barrier the mirror equals the live engine
+state: pushes always precede pulls within a barrier, delivered imports
+only execute in the *next* epoch (so they arrive in the next delta),
+and a DONE worker's later deltas are empty.  That is why a campaign
+merges the same frontier, corpus digests and crash signatures under
+both backends — with O(delta) traffic.
 
 A dead transport surfaces as :class:`WorkerLost`; the orchestrator
 degrades the board to quarantined instead of hanging the barrier.
@@ -50,12 +52,12 @@ from repro.fuzz.engine import EofEngine, FuzzResult
 from repro.fuzz.feedback import CoverageMap
 from repro.fuzz.stats import FuzzStats
 from repro.farm.wire import (
+    MemoryFrameIO,
     PipeFrameIO,
     WorkerSpec,
     WorkerTransportError,
     decode_epoch_result,
     encode_epoch_result,
-    frame_size,
 )
 
 #: Worker liveness states across epochs (shared with the orchestrator).
@@ -85,23 +87,14 @@ class EpochOutcome:
     crashes: List[CrashReport] = field(default_factory=list)
     summary: Dict[str, int] = field(default_factory=dict)
     cycles: int = 0
-    #: Bytes the epoch result cost on the wire (measured for the
-    #: process backend, computed-equivalent for the inline one).
+    #: Bytes the epoch result's frame took (measured on both backends).
     wire_bytes: int = 0
-
-
-def encode_outcome(outcome: EpochOutcome) -> Dict[str, object]:
-    """The ``epoch_result`` frame body of one outcome."""
-    return encode_epoch_result(
-        outcome.status, outcome.entries, outcome.edges,
-        outcome.crashes, outcome.summary, outcome.cycles)
 
 
 class WorkerCore:
     """One engine plus the delta bookkeeping of its barriers.
 
-    Both backends run a board through this class: the inline handle on
-    the coordinator thread, the child process behind its pipe.
+    Every worker runs its board through this class, on either backend.
     :meth:`run` is the epoch body and only runs the engine;
     :meth:`close_epoch` takes what is new since the last barrier.
     """
@@ -110,7 +103,6 @@ class WorkerCore:
         self.engine = engine
         self.budget_cycles = budget_cycles
         self._offered: Set[str] = set()
-        self._delivered: Set[str] = set()
         self._reported_edges: Set[int] = set()
         self._crash_offset = 0
 
@@ -126,9 +118,9 @@ class WorkerCore:
             # not — the barrier still merges them.
             return ABORTED
 
-    def close_epoch(self, status: str) -> EpochOutcome:
-        """The barrier's outcome: entries not yet offered, edges not
-        yet reported, crashes past the last offset."""
+    def close_epoch(self, status: str) -> Dict[str, object]:
+        """The barrier's ``epoch_result`` payload: entries not yet
+        offered, edges not yet reported, crashes past the last offset."""
         engine = self.engine
         entries = [entry for entry in engine.corpus.entries
                    if entry.digest not in self._offered]
@@ -138,16 +130,10 @@ class WorkerCore:
         unique = engine.crash_db.unique_crashes()
         crashes = unique[self._crash_offset:]
         self._crash_offset = len(unique)
-        return EpochOutcome(status=status, entries=entries, edges=edges,
-                            crashes=crashes, summary=self.summary(),
-                            cycles=self.cycles())
-
-    def known_digests(self) -> Set[str]:
-        return (self._offered | self._delivered
-                | set(self.engine.corpus.digests()))
+        return encode_epoch_result(status, entries, edges, crashes,
+                                   self.summary(), self.cycles())
 
     def deliver(self, entries: List[CorpusEntry]) -> None:
-        self._delivered.update(entry.digest for entry in entries)
         self.engine.inject_programs([entry.program for entry in entries])
 
     def summary(self) -> Dict[str, int]:
@@ -166,110 +152,19 @@ class WorkerCore:
         return 0 if session is None else session.board.machine.cycles
 
 
-class WorkerHandle:
-    """One worker as the orchestrator sees it, wherever it runs."""
+class _RemoteHandle:
+    """The coordinator's end of the protocol: one worker behind a
+    frame stream.
 
-    def __init__(self, index: int):
-        self.index = index
-
-    # -- lifecycle (begin/join split so remote boots overlap) ---------------
-
-    def begin_start(self) -> None:
-        raise NotImplementedError
-
-    def join_start(self) -> None:
-        raise NotImplementedError
-
-    def begin_epoch(self, epoch: int, target_cycles: int) -> None:
-        raise NotImplementedError
-
-    def join_epoch(self) -> EpochOutcome:
-        raise NotImplementedError
-
-    # -- barrier-time state (what sync needs to push and pull) --------------
-
-    def known_digests(self) -> Set[str]:
-        raise NotImplementedError
-
-    def local_edges(self) -> Set[int]:
-        raise NotImplementedError
-
-    def deliver(self, entries: List[CorpusEntry]) -> None:
-        raise NotImplementedError
-
-    def summary(self) -> Dict[str, int]:
-        raise NotImplementedError
-
-    def cycles(self) -> int:
-        raise NotImplementedError
-
-    # -- wrap-up ------------------------------------------------------------
-
-    def finish(self) -> FuzzResult:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
-class InlineHandle(WorkerHandle):
-    """The worker core runs in-process, on the coordinator thread.
-
-    :meth:`begin_epoch` runs the engine to the epoch target there and
-    then; :meth:`join_epoch` takes the delta at the barrier.  Boards
-    therefore run one after another, in worker-index order.
-    """
-
-    def __init__(self, index: int, engine: EofEngine,
-                 worker_budget: int):
-        super().__init__(index)
-        self.engine = engine
-        self.core = WorkerCore(engine, worker_budget)
-        self._status = LIVE
-
-    def begin_start(self) -> None:
-        self.engine.start()
-
-    def join_start(self) -> None:
-        return None
-
-    def begin_epoch(self, epoch: int, target_cycles: int) -> None:
-        self._status = self.core.run(target_cycles)
-
-    def join_epoch(self) -> EpochOutcome:
-        return self.core.close_epoch(self._status)
-
-    def known_digests(self) -> Set[str]:
-        return self.core.known_digests()
-
-    def local_edges(self) -> Set[int]:
-        return self.engine.coverage.edges
-
-    def deliver(self, entries: List[CorpusEntry]) -> None:
-        self.core.deliver(entries)
-
-    def summary(self) -> Dict[str, int]:
-        return self.core.summary()
-
-    def cycles(self) -> int:
-        return self.core.cycles()
-
-    def finish(self) -> FuzzResult:
-        return self.engine.finish()
-
-    def close(self) -> None:
-        return None
-
-
-class _RemoteHandle(WorkerHandle):
-    """Protocol driver for a worker core behind a frame stream.
-
-    All I/O happens on the coordinator thread; the fields below are
-    coordinator-side mirrors of the worker, advanced by epoch deltas.
+    By itself it is the inline backend's handle: the worker answers
+    over an in-memory frame pair on the coordinator thread.
+    :class:`ProcessHandle` moves the worker into a child process.  All
+    I/O happens on the coordinator thread; the fields below are
+    coordinator-side mirrors of the worker, advanced by its replies.
     """
 
     def __init__(self, index: int, spec: WorkerSpec):
-        super().__init__(index)
+        self.index = index
         self.spec = spec
         self._io = None
         self._known: Set[str] = set()
@@ -283,10 +178,15 @@ class _RemoteHandle(WorkerHandle):
     # -- transport ----------------------------------------------------------
 
     def _open_transport(self) -> None:
-        raise NotImplementedError
+        # procworker imports this module and is the child's
+        # ``__main__``: a module-level import here would be circular,
+        # and would load it a second time under ``python -m``.
+        from repro.farm.procworker import Worker
+        self._io = MemoryFrameIO(Worker().answer)
 
     def _close_transport(self) -> None:
-        raise NotImplementedError
+        if self._io is not None:
+            self._io.close()
 
     def _send(self, kind: str, payload: Dict[str, object]) -> None:
         if self._lost_reason:
@@ -326,7 +226,10 @@ class _RemoteHandle(WorkerHandle):
         self._send("start", {})
 
     def join_start(self) -> None:
-        self._recv("started")
+        payload = self._recv("started")
+        self._cycles = int(payload.get("cycles", 0))
+        self._summary = {key: int(value) for key, value
+                         in dict(payload.get("summary", {})).items()}
 
     def begin_epoch(self, epoch: int, target_cycles: int) -> None:
         self._send("epoch", {"epoch": epoch, "target": target_cycles})
@@ -454,8 +357,7 @@ class ProcessHandle(_RemoteHandle):
         self._io = PipeFrameIO(self._proc.stdout, self._proc.stdin)
 
     def _close_transport(self) -> None:
-        if self._io is not None:
-            self._io.close()
+        super()._close_transport()
         if self._proc is not None:
             try:
                 self._proc.wait(timeout=10)
@@ -464,20 +366,13 @@ class ProcessHandle(_RemoteHandle):
                 self._proc.wait()
 
 
-def build_worker_handles(workers: int, spec_template: WorkerSpec,
-                         seeds: List[int],
-                         worker_budget: int) -> List[WorkerHandle]:
-    """Per-worker process handles from one spec template."""
-    return [ProcessHandle(index, replace(
-        spec_template, index=index, seed=seeds[index],
-        budget_cycles=worker_budget, name=f"eof-w{index}"))
-        for index in range(workers)]
-
-
-def estimate_outcome_bytes(outcome: EpochOutcome) -> int:
-    """Wire size the outcome *would* cost as a pipe frame.
-
-    Only the inline backend calls this (and only with observability
-    enabled): the process backend reports measured frame bytes instead.
-    """
-    return frame_size("epoch_result", encode_outcome(outcome))
+def build_worker_handles(backend: str, spec_template: WorkerSpec,
+                         seeds: List[int], worker_budget: int,
+                         campaign_seed: int) -> List[_RemoteHandle]:
+    """One handle per worker seed, each spec derived from the template."""
+    handle = ProcessHandle if backend == "process" else _RemoteHandle
+    return [handle(index, replace(
+        spec_template, index=index, seed=seed,
+        budget_cycles=worker_budget, name=f"eof-w{index}",
+        campaign_seed=campaign_seed))
+        for index, seed in enumerate(seeds)]

@@ -6,11 +6,12 @@ its own cycle clock crosses the epoch boundary, then a barrier merges
 worker state into the shared :class:`CampaignState` and delivers
 cross-worker seed imports, and the next epoch begins.
 
-Workers run behind the :class:`WorkerHandle` interface
-(:mod:`repro.farm.handles`), each on one :class:`WorkerCore`: the
-``inline`` backend runs every engine on the coordinator thread, one
+Every worker is built from one :class:`~repro.farm.wire.WorkerSpec`
+and driven through one protocol (:mod:`repro.farm.handles`); only
+the transport differs.  The ``inline`` backend answers each
+worker on the coordinator thread through an in-memory frame pair, one
 board after another (the determinism reference), and ``process`` runs
-one engine per child process with epoch deltas framed over pipes.  The
+one worker per child process with the same frames over pipes.  The
 coordinator is the only thread in the process under both backends, so
 the store and the shared state need no locks, and persistence and
 resume are backend-independent.
@@ -31,8 +32,9 @@ sync_interval)``:
 * sync points are **cycle-based** (epoch ``k`` ends at ``k *
   sync_interval`` virtual cycles per worker), never wall-clock-based;
 * both backends merge only *deltas* (new seeds, new edges, new
-  crashes since the last barrier), taken by the same worker core, and
-  merging a delta stream is state-identical to merging the full sets.
+  crashes since the last barrier), taken by the same worker core and
+  carried as the same frames, and merging a delta stream is
+  state-identical to merging the full sets.
 
 A worker whose transport dies mid-epoch is treated like a quarantined
 board: the un-synced epoch is discarded, a ``farm.worker.lost`` event
@@ -49,17 +51,14 @@ from repro.farm.handles import (
     ABORTED,
     LIVE,
     EpochOutcome,
-    InlineHandle,
-    WorkerHandle,
     WorkerLost,
     build_worker_handles,
-    estimate_outcome_bytes,
 )
 from repro.farm.state import CampaignState, TriagedCrash
 from repro.farm.wire import WorkerSpec
 from repro.fuzz.corpus import CorpusEntry
 from repro.fuzz.crash import CrashReport
-from repro.fuzz.engine import EofEngine, FuzzResult
+from repro.fuzz.engine import FuzzResult
 from repro.fuzz.stats import CampaignStats
 from repro.obs import NULL_OBS, Observability
 
@@ -174,19 +173,19 @@ def _epoch_row(summary: Dict[str, object]) -> Dict[str, object]:
              "imported", "live")}
 
 
-#: Builds one worker engine: (worker_index, worker_seed, budget_cycles).
-EngineFactory = Callable[[int, int, int], EofEngine]
-
-
 class CampaignOrchestrator:
-    """Run one campaign: N workers, shared corpus, sync epochs."""
+    """Run one campaign: N workers, shared corpus, sync epochs.
 
-    def __init__(self, factory: Optional[EngineFactory],
+    ``worker_spec`` is the template every worker's spec derives from:
+    the orchestrator fills in the index, the worker seed, the
+    per-worker budget, the name and the campaign seed.
+    """
+
+    def __init__(self, worker_spec: WorkerSpec,
                  options: Optional[CampaignOptions] = None,
                  obs: Optional[Observability] = None,
                  store: Optional["CampaignStore"] = None,
-                 warm_entries: Optional[List[CorpusEntry]] = None,
-                 worker_spec: Optional[WorkerSpec] = None):
+                 warm_entries: Optional[List[CorpusEntry]] = None):
         self.options = options or CampaignOptions()
         if self.options.workers < 1:
             raise ValueError("a campaign needs at least one worker")
@@ -212,24 +211,9 @@ class CampaignOrchestrator:
         self.worker_budget = per_worker
         seeds = [derive_worker_seed(self.options.campaign_seed, index)
                  for index in range(self.options.workers)]
-        self.engines: List[EofEngine] = []
-        if self.options.backend == "inline":
-            if factory is None:
-                raise ValueError(
-                    "the inline backend needs an engine factory")
-            handles: List[WorkerHandle] = []
-            for index in range(self.options.workers):
-                engine = factory(index, seeds[index], per_worker)
-                self.engines.append(engine)
-                handles.append(InlineHandle(index, engine, per_worker))
-            self.handles = handles
-        else:
-            if worker_spec is None:
-                raise ValueError(
-                    f"the {self.options.backend} backend needs a "
-                    f"worker spec template")
-            self.handles = build_worker_handles(
-                self.options.workers, worker_spec, seeds, per_worker)
+        self.handles = build_worker_handles(
+            self.options.backend, worker_spec, seeds, per_worker,
+            self.options.campaign_seed)
         self._status = [LIVE for _ in self.handles]
         self._lost: Set[int] = set()
         self._epochs_run = 0
@@ -263,7 +247,7 @@ class CampaignOrchestrator:
                 handle.close()
 
     def _start_workers(self) -> None:
-        """Boot every worker; remote boots overlap, inline boots run
+        """Boot every worker; process boots overlap, inline boots run
         one after another inside ``begin_start``."""
         for index, handle in enumerate(self.handles):
             try:
@@ -374,9 +358,7 @@ class CampaignOrchestrator:
             histogram = self.obs.histogram("farm.sync.delta.bytes",
                                            buckets=DELTA_BYTE_BUCKETS)
             for index in sorted(outcomes):
-                outcome = outcomes[index]
-                histogram.record(outcome.wire_bytes or
-                                 estimate_outcome_bytes(outcome))
+                histogram.record(outcomes[index].wire_bytes)
             self.obs.emit("farm.epoch", epoch=epoch,
                           merged_edges=len(self.state.edges),
                           shared_seeds=len(self.state.corpus),
@@ -414,7 +396,7 @@ class CampaignOrchestrator:
         if self.obs.enabled and admitted:
             self.obs.counter("farm.seeds.shared").inc(admitted)
 
-    def _pull_worker(self, index: int, handle: WorkerHandle) -> int:
+    def _pull_worker(self, index: int, handle) -> int:
         entries = self.state.pull(
             index, known_digests=handle.known_digests(),
             local_edges=handle.local_edges(),

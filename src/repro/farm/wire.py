@@ -11,21 +11,26 @@ this module, in exactly the serialized forms the stack already trusts:
   (:func:`repro.db.journal.encode_record`), so a torn or corrupt frame
   is detected the same way a torn journal is.
 
-There is one framing, :class:`PipeFrameIO`, and it runs over any pair
-of binary streams: the process backend hands it a child's
-stdout/stdin.  A future cross-host transport would be
-``PipeFrameIO(sock.makefile("rb"), sock.makefile("wb"))`` — the
-protocol driver (:mod:`repro.farm.handles` /
-:mod:`repro.farm.procworker`) would not change.  Transport death —
-EOF, broken pipe, CRC failure — always surfaces as
+There is one framing and two ways to carry it.  :class:`PipeFrameIO`
+runs over any pair of binary streams: the process backend hands it a
+child's stdout/stdin, and a future cross-host transport would be
+``PipeFrameIO(sock.makefile("rb"), sock.makefile("wb"))``.
+:class:`MemoryFrameIO` is the inline backend's in-memory frame pair:
+it frames and decodes every message exactly as a pipe would, then
+hands it to the worker's dispatcher on the caller's thread.  The
+coordinator's handles (:mod:`repro.farm.handles`) and the worker
+(:mod:`repro.farm.procworker`) are the same over both.  Transport
+death — EOF, broken pipe, CRC failure — always surfaces as
 :class:`WorkerTransportError`; the orchestrator maps it to a lost
 worker, never a hung barrier.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass
-from typing import BinaryIO, Dict, List, Sequence, Set, Tuple
+from typing import (BinaryIO, Callable, Dict, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.db.journal import MAGIC, MAX_PAYLOAD, encode_record
 from repro.db.journal import decode_record as _decode_journal_record
@@ -33,7 +38,8 @@ from repro.fuzz.corpus import CorpusEntry, entry_from_record, entry_to_record
 from repro.fuzz.crash import CrashReport
 
 __all__ = ["WorkerSpec", "WorkerTransportError", "PipeFrameIO",
-           "encode_epoch_result", "decode_epoch_result", "frame_size"]
+           "MemoryFrameIO", "encode_epoch_result", "decode_epoch_result",
+           "frame_size", "worker_trace_dir"]
 
 #: Record-type letter of a worker frame in the journal CRC format.
 WIRE_RECORD_TYPE = "W"
@@ -46,13 +52,16 @@ _HEADER_SIZE = 12
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything a remote worker needs to rebuild its engine.
+    """Everything a worker needs to build its engine, on either backend.
 
-    The coordinator derives ``index``/``seed``/``budget_cycles`` per
-    worker from the campaign options (the same splitmix64 derivation
-    the inline backend uses), so a campaign stays a pure function of
-    ``(campaign_seed, workers, sync_interval)`` no matter where its
-    engines run.
+    The coordinator derives ``index``/``seed``/``budget_cycles``/
+    ``campaign_seed`` per worker from the campaign options (a
+    splitmix64 mix of the campaign seed and the index), so a campaign
+    stays a pure function of ``(campaign_seed, workers,
+    sync_interval)`` no matter where its engines run.  A non-empty
+    ``trace_dir`` makes the worker trace itself into
+    :func:`worker_trace_dir`, sampling its time series every
+    ``sample_interval`` cycles.
     """
 
     target: str
@@ -61,6 +70,9 @@ class WorkerSpec:
     budget_cycles: int = 0
     snapshots: bool = True
     name: str = ""
+    trace_dir: str = ""
+    sample_interval: int = 0
+    campaign_seed: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -72,11 +84,35 @@ class WorkerSpec:
                    seed=int(data.get("seed", 0)),
                    budget_cycles=int(data.get("budget_cycles", 0)),
                    snapshots=bool(data.get("snapshots", True)),
-                   name=str(data.get("name", "")))
+                   name=str(data.get("name", "")),
+                   trace_dir=str(data.get("trace_dir", "")),
+                   sample_interval=int(data.get("sample_interval", 0)),
+                   campaign_seed=int(data.get("campaign_seed", 0)))
+
+
+def worker_trace_dir(trace_dir: str, index: int) -> str:
+    """Where worker ``index`` of a campaign traced into ``trace_dir``
+    writes its own artifact set."""
+    return os.path.join(trace_dir, f"worker-{index}")
 
 
 class WorkerTransportError(RuntimeError):
     """The worker's transport died (EOF, broken pipe, corrupt frame)."""
+
+
+def _encode_frame(kind: str, payload: Dict[str, object]) -> bytes:
+    return encode_record(WIRE_RECORD_TYPE, {"kind": kind, "body": payload})
+
+
+def _decode_frame(frame: bytes) -> Tuple[str, Dict[str, object]]:
+    record = _decode_journal_record(frame)
+    if record is None:
+        raise WorkerTransportError("worker frame failed CRC")
+    kind = str(record.payload.get("kind", ""))
+    message = record.payload.get("body")
+    if not kind or not isinstance(message, dict):
+        raise WorkerTransportError("malformed worker message")
+    return kind, message
 
 
 class PipeFrameIO:
@@ -96,8 +132,7 @@ class PipeFrameIO:
         self.last_frame_bytes = 0
 
     def send(self, kind: str, payload: Dict[str, object]) -> int:
-        frame = encode_record(WIRE_RECORD_TYPE,
-                              {"kind": kind, "body": payload})
+        frame = _encode_frame(kind, payload)
         try:
             self._wfile.write(frame)
             self._wfile.flush()
@@ -115,17 +150,9 @@ class PipeFrameIO:
         if length > MAX_PAYLOAD:
             raise WorkerTransportError(
                 f"worker frame length {length} exceeds bound")
-        body = self._read_exact(length)
-        record = _decode_journal_record(header + body)
-        if record is None:
-            raise WorkerTransportError("worker frame failed CRC")
+        message = _decode_frame(header + self._read_exact(length))
         self.last_frame_bytes = _HEADER_SIZE + length
-        payload = record.payload
-        kind = str(payload.get("kind", ""))
-        message = payload.get("body")
-        if not kind or not isinstance(message, dict):
-            raise WorkerTransportError("malformed worker message")
-        return kind, message
+        return message
 
     def _read_exact(self, count: int) -> bytes:
         chunks = bytearray()
@@ -146,6 +173,47 @@ class PipeFrameIO:
                 stream.close()
             except (OSError, ValueError):
                 pass
+
+
+#: A worker's answer to one request: the reply's ``(kind, payload)``,
+#: or None for a request that has no reply.
+Reply = Optional[Tuple[str, Dict[str, object]]]
+
+
+class MemoryFrameIO:
+    """An in-memory frame pair with the worker's dispatcher at the far
+    end: no pipe and no thread.
+
+    :meth:`send` frames the message, decodes the frame and answers it
+    on the caller's thread, so the worker sees exactly the payload a
+    pipe would deliver and ``last_frame_bytes`` is a measured frame
+    size.  Whatever the dispatcher raises (``KeyboardInterrupt``
+    included) propagates out of :meth:`send` unchanged; the framed
+    reply waits for :meth:`recv`.
+    """
+
+    def __init__(self, answer: Callable[[str, Dict[str, object]], Reply]):
+        self._answer = answer
+        self._replies: List[bytes] = []
+        self.last_frame_bytes = 0
+
+    def send(self, kind: str, payload: Dict[str, object]) -> int:
+        frame = _encode_frame(kind, payload)
+        self.last_frame_bytes = len(frame)
+        reply = self._answer(*_decode_frame(frame))
+        if reply is not None:
+            self._replies.append(_encode_frame(*reply))
+        return len(frame)
+
+    def recv(self) -> Tuple[str, Dict[str, object]]:
+        if not self._replies:
+            raise WorkerTransportError("the worker sent no reply")
+        frame = self._replies.pop(0)
+        self.last_frame_bytes = len(frame)
+        return _decode_frame(frame)
+
+    def close(self) -> None:
+        self._replies.clear()
 
 
 # -- epoch-result payload ----------------------------------------------------
@@ -197,11 +265,5 @@ def decode_epoch_result(payload: Dict[str, object]
 
 
 def frame_size(kind: str, payload: Dict[str, object]) -> int:
-    """Pipe-frame size of one message without shipping it.
-
-    The inline backend uses this to report the *would-be* sync delta
-    bytes, so the ``farm.sync.delta.bytes`` histogram is comparable
-    across backends.
-    """
-    return len(encode_record(WIRE_RECORD_TYPE,
-                             {"kind": kind, "body": payload}))
+    """Frame size of one message without shipping it."""
+    return len(_encode_frame(kind, payload))

@@ -151,11 +151,6 @@ class Machine:
 
     # -- breakpoints ---------------------------------------------------------
 
-    @property
-    def breakpoints(self) -> Dict[int, str]:
-        """Currently armed breakpoints: address -> label."""
-        return dict(self._breakpoints)
-
     def set_breakpoint(self, address: int, label: str = "") -> None:
         """Arm a hardware breakpoint; raises when all slots are used."""
         if address in self._breakpoints:

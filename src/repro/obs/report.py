@@ -27,10 +27,12 @@ from typing import Dict, Optional
 from repro.bench.report import render_table
 from repro.db.io import atomic_write_json, atomic_write_text
 from repro.fuzz.stats import FuzzStats
+from repro.obs import FlightRecorder, JsonlSink, Observability
 from repro.obs.profile import (build_profile, profile_table_rows,
                                run_total_cycles, write_profile)
 from repro.obs.render import HTML_FILE, PROM_FILE, render_html, render_prom
-from repro.obs.timeseries import TIMESERIES_FILE, load_timeseries
+from repro.obs.timeseries import (TIMESERIES_FILE, TimeSeriesSampler,
+                                  load_timeseries)
 
 METRICS_FILE = "metrics.json"
 EVENTS_FILE = "events.jsonl"
@@ -50,6 +52,24 @@ PHASE_ORDER = ("generate", "mutate", "flash-program", "continue",
 
 class SchemaVersionError(ValueError):
     """A run artifact's major schema version is not readable here."""
+
+
+def open_trace(run_dir: str, run_id: str, sample_interval: int,
+               flight: bool = True) -> Observability:
+    """An observability bundle that traces into ``run_dir``.
+
+    Events stream to ``events.jsonl`` and the time series (one row per
+    ``sample_interval`` virtual cycles) to ``timeseries.jsonl``; with
+    ``flight`` a flight recorder dumps crashes next to them.
+    """
+    os.makedirs(run_dir, exist_ok=True)
+    obs = Observability(run_id=run_id)
+    obs.attach(JsonlSink(os.path.join(run_dir, EVENTS_FILE)))
+    obs.sampler = TimeSeriesSampler(
+        sample_interval, path=os.path.join(run_dir, TIMESERIES_FILE))
+    if flight:
+        obs.attach_flight(FlightRecorder(run_dir))
+    return obs
 
 
 def collect_run_data(obs, stats: Optional[FuzzStats] = None,

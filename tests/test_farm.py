@@ -8,39 +8,27 @@ from repro.farm import (
     CampaignOptions,
     CampaignOrchestrator,
     CampaignState,
+    WorkerSpec,
     derive_worker_seed,
 )
-from repro.firmware.builder import build_firmware
+from repro.farm.procworker import build_engine
 from repro.fuzz.corpus import CorpusEntry, program_hash
 from repro.fuzz.crash import KIND_ASSERT, KIND_PANIC, CrashReport
-from repro.fuzz.engine import EngineOptions, EofEngine
+from repro.fuzz.engine import EofEngine
 from repro.fuzz.stats import CampaignStats
 from repro.fuzz.targets import get_target
-from repro.spec.llmgen import generate_validated_specs
 
 SHORT = 800_000
 
-
-def eof_factory(os_name="freertos"):
-    """Engine factory matching the orchestrator's calling convention."""
-    target = get_target(os_name)
-
-    def factory(index, seed, budget_cycles):
-        build = build_firmware(target.build_config())
-        spec = generate_validated_specs(build)
-        return EofEngine(build, spec, EngineOptions(
-            seed=seed, budget_cycles=budget_cycles,
-            name=f"eof-w{index}"))
-
-    return factory
+#: The spec template every campaign here derives its workers from.
+FREERTOS = WorkerSpec(target="freertos")
 
 
 def run_campaign(**overrides):
     base = dict(campaign_seed=7, workers=2, sync_interval=200_000,
                 total_budget_cycles=SHORT, import_min_novelty=1)
     base.update(overrides)
-    return CampaignOrchestrator(eof_factory(),
-                                CampaignOptions(**base)).run()
+    return CampaignOrchestrator(FREERTOS, CampaignOptions(**base)).run()
 
 
 def seed_entry(value, edges, crashed=False, new_edges=None):
@@ -174,9 +162,9 @@ class TestCampaignState:
 class TestEngineImportPaths:
     @pytest.fixture(scope="class")
     def started(self):
-        engine = eof_factory()(0, 11, 200_000)
-        engine.start()
-        return engine
+        return build_engine(WorkerSpec(target="freertos", seed=11,
+                                       budget_cycles=200_000,
+                                       name="eof-w0"))
 
     def test_inject_programs_counts_imports(self, started):
         before = started.stats.imported_seeds
@@ -189,8 +177,7 @@ class TestEngineImportPaths:
 class TestCampaign:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
-            CampaignOrchestrator(eof_factory(),
-                                 CampaignOptions(workers=0))
+            CampaignOrchestrator(FREERTOS, CampaignOptions(workers=0))
 
     def test_replay_determinism(self):
         """Same (campaign_seed, workers, sync_interval) twice: identical
@@ -222,8 +209,10 @@ class TestCampaign:
         result = run_campaign(sync_interval=0)
         assert result.stats.seeds_imported == 0
         for index, worker_result in enumerate(result.worker_results):
-            solo = eof_factory()(index, derive_worker_seed(7, index),
-                                 SHORT // 2).run()
+            solo = build_engine(WorkerSpec(
+                target="freertos", index=index,
+                seed=derive_worker_seed(7, index),
+                budget_cycles=SHORT // 2, name=f"eof-w{index}")).run()
             assert solo.edges == worker_result.edges
 
     def test_stats_roundtrip(self):
@@ -234,26 +223,20 @@ class TestCampaign:
         assert back.worker_count == result.stats.worker_count
         assert "merged" in result.stats.summary()
 
-    def test_keyboard_interrupt_aborts_without_running_other_boards(self):
+    def test_keyboard_interrupt_aborts_without_running_other_boards(
+            self, monkeypatch):
         """A second Ctrl-C raises KeyboardInterrupt in the running epoch;
         it must unwind the campaign at once, not wait for the other
         boards to finish theirs."""
         orchestrator = make_campaign(get_target("freertos"), 2, 400_000,
                                      sync_interval=100_000)
-        first, second = orchestrator.engines
+        entered = []
 
-        def interrupted(target_cycles):
+        def interrupted(engine, target_cycles):
+            entered.append(engine.options.name)
             raise KeyboardInterrupt
 
-        entered = []
-        run_until = second.run_until
-
-        def recording(target_cycles):
-            entered.append(target_cycles)
-            return run_until(target_cycles)
-
-        first.run_until = interrupted
-        second.run_until = recording
+        monkeypatch.setattr(EofEngine, "run_until", interrupted)
         with pytest.raises(KeyboardInterrupt):
             orchestrator.run()
-        assert entered == []
+        assert entered == ["eof-w0"]

@@ -7,6 +7,7 @@ same merged frontier, same corpus digests, same crash signatures, same
 restore-invariant semantic stats — while shipping only epoch deltas.
 A dead child process degrades to a quarantined board, never a hung
 barrier, and the store-backed resume path works under every backend.
+Traced workers write the same artifact sets under both backends.
 """
 
 import os
@@ -15,7 +16,8 @@ import signal
 import pytest
 
 from repro.bench.runner import make_campaign, run_campaign
-from repro.farm import CampaignOptions, CampaignOrchestrator
+from repro.cli import main
+from repro.farm import CampaignOptions, CampaignOrchestrator, WorkerSpec
 from repro.fuzz.targets import get_target
 from repro.obs import FlightRecorder, Observability, RingBufferSink
 
@@ -55,13 +57,48 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("backend", ["carrier", "socket"])
     def test_unknown_backend_rejected(self, backend):
         with pytest.raises(ValueError, match="backend"):
-            CampaignOrchestrator(None,
+            CampaignOrchestrator(WorkerSpec(target=TARGET.name),
                                  CampaignOptions(backend=backend))
 
-    def test_remote_backend_needs_worker_spec(self):
-        with pytest.raises(ValueError, match="spec"):
-            CampaignOrchestrator(None,
-                                 CampaignOptions(backend="process"))
+    def test_campaign_start_stamped_at_the_same_cycle(self):
+        """The campaign clock reads the workers' post-boot clocks, so
+        ``farm.campaign.start`` carries the same cycle on both
+        backends (a boot costs cycles: it is never 0)."""
+        stamps = []
+        for backend in ("inline", "process"):
+            obs = Observability(run_id="stamp-test")
+            ring = obs.attach(RingBufferSink())
+            campaign(backend, obs=obs)
+            stamps.append([event.cycles for event in ring.events
+                           if event.name == "farm.campaign.start"])
+        assert stamps[0] == stamps[1]
+        assert len(stamps[0]) == 1 and stamps[0][0] > 0
+
+
+#: Worker artifacts that must not depend on the backend (the others
+#: carry wall-clock times).
+DETERMINISTIC_ARTIFACTS = ("timeseries.jsonl", "profile.json",
+                           "metrics.prom", "report.html")
+
+
+class TestTracedBackends:
+    def test_traced_campaigns_write_identical_artifacts(self, tmp_path):
+        dirs = {}
+        for backend in ("inline", "process"):
+            dirs[backend] = tmp_path / backend
+            assert main(["campaign", TARGET.name, "--workers", "2",
+                         "--budget", str(BUDGET), "--sync-interval",
+                         str(SYNC), "--seed", "7", "--backend", backend,
+                         "--trace-dir", str(dirs[backend])]) == 0
+        for name in DETERMINISTIC_ARTIFACTS:
+            for index in (0, 1):
+                path = f"worker-{index}/{name}"
+                inline = (dirs["inline"] / path).read_bytes()
+                assert inline, path
+                assert (dirs["process"] / path).read_bytes() == inline, \
+                    path
+        assert (dirs["process"] / "profile.json").read_bytes() == \
+            (dirs["inline"] / "profile.json").read_bytes()
 
 
 class TestWorkerLoss:

@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.agent.protocol import ArgImm, Call, TestProgram  # noqa: E402
 from repro.farm.wire import (  # noqa: E402
+    MemoryFrameIO,
     PipeFrameIO,
     WorkerSpec,
     WorkerTransportError,
@@ -167,12 +168,17 @@ class TestEpochResultRoundTrip:
 
 class TestWorkerSpec:
     @given(index=st.integers(min_value=0, max_value=64),
-           seed=counters, budget=counters, snapshots=st.booleans())
+           seed=counters, budget=counters, snapshots=st.booleans(),
+           trace_dir=st.text(max_size=24), sample_interval=counters,
+           campaign_seed=counters)
     @settings(max_examples=60, deadline=None)
-    def test_round_trip(self, index, seed, budget, snapshots):
+    def test_round_trip(self, index, seed, budget, snapshots, trace_dir,
+                        sample_interval, campaign_seed):
         spec = WorkerSpec(target="freertos", index=index, seed=seed,
                           budget_cycles=budget, snapshots=snapshots,
-                          name=f"eof-w{index}")
+                          name=f"eof-w{index}", trace_dir=trace_dir,
+                          sample_interval=sample_interval,
+                          campaign_seed=campaign_seed)
         wire = json.loads(json.dumps(spec.to_dict()))
         assert WorkerSpec.from_dict(wire) == spec
 
@@ -215,6 +221,43 @@ class TestPipeFraming:
         reader = PipeFrameIO(io.BytesIO(raw), io.BytesIO())
         with pytest.raises(WorkerTransportError):
             reader.recv()
+
+
+class TestMemoryFrames:
+    """The inline backend's frame pair: pipe frames without a pipe."""
+
+    @given(payload=st.dictionaries(
+        st.text(min_size=1, max_size=8),
+        st.one_of(counters, st.text(max_size=16)), max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_dispatcher_answers_the_decoded_frame(self, payload):
+        seen = []
+
+        def answer(kind, message):
+            seen.append((kind, message))
+            return "epoch_result", message
+
+        pair = MemoryFrameIO(answer)
+        assert pair.send("epoch", payload) == frame_size("epoch", payload)
+        assert seen == [("epoch", payload)]
+        assert pair.recv() == ("epoch_result", payload)
+        assert pair.last_frame_bytes == \
+            frame_size("epoch_result", payload)
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, ValueError,
+                                       OSError])
+    def test_dispatcher_exceptions_propagate_unchanged(self, error):
+        def answer(kind, message):
+            raise error("in the worker")
+
+        with pytest.raises(error, match="in the worker"):
+            MemoryFrameIO(answer).send("epoch", {"target": 5})
+
+    def test_missing_reply_is_a_dead_worker(self):
+        pair = MemoryFrameIO(lambda kind, message: None)
+        pair.send("hello", {})
+        with pytest.raises(WorkerTransportError):
+            pair.recv()
 
 
 class CountingReader:

@@ -8,8 +8,7 @@ import os
 import pytest
 
 from repro.errors import RecoveryExhausted
-from repro.farm import CampaignOptions, CampaignOrchestrator
-from repro.firmware.builder import build_firmware
+from repro.farm import CampaignOptions, CampaignOrchestrator, WorkerSpec
 from repro.fuzz.engine import EngineOptions, EofEngine
 from repro.fuzz.targets import get_target
 from repro.obs import (
@@ -394,23 +393,11 @@ class TestFarmTelemetry:
         obs.sampler = TimeSeriesSampler(
             100_000,
             path=os.path.join(trace_dir, "campaign.jsonl"))
-        worker_samplers = []
-
-        def factory(index, worker_seed, budget_cycles):
-            build = build_firmware(target.build_config())
-            spec = generate_validated_specs(build)
-            bundle = Observability(run_id=f"w{index}")
-            bundle.attach(RingBufferSink())
-            bundle.sampler = TimeSeriesSampler(
-                20_000,
-                path=os.path.join(trace_dir,
-                                  f"worker-{index}.jsonl"))
-            worker_samplers.append(bundle.sampler)
-            return EofEngine(build, spec, EngineOptions(
-                seed=worker_seed, budget_cycles=budget_cycles,
-                name=f"eof-w{index}"), obs=bundle)
-
-        orchestrator = CampaignOrchestrator(factory, CampaignOptions(
+        # Each worker traces itself into worker-<i>/ and closes its own
+        # series when it finishes.
+        spec = WorkerSpec(target=target.name, trace_dir=trace_dir,
+                          sample_interval=20_000)
+        orchestrator = CampaignOrchestrator(spec, CampaignOptions(
             campaign_seed=seed, workers=2, sync_interval=100_000,
             total_budget_cycles=600_000, import_min_novelty=1),
             obs=obs)
@@ -418,8 +405,6 @@ class TestFarmTelemetry:
         orchestrator.epoch_hook = epochs.append
         result = orchestrator.run()
         obs.sampler.close()
-        for sampler in worker_samplers:
-            sampler.close()
         return result, epochs
 
     def test_campaign_series_and_worker_merge_deterministic(
@@ -428,13 +413,14 @@ class TestFarmTelemetry:
         for directory in dirs:
             directory.mkdir()
             self.run_campaign(str(directory))
-        for name in ("campaign.jsonl", "worker-0.jsonl",
-                     "worker-1.jsonl"):
+        for name in ("campaign.jsonl", "worker-0/timeseries.jsonl",
+                     "worker-1/timeseries.jsonl"):
             first = (dirs[0] / name).read_bytes()
             second = (dirs[1] / name).read_bytes()
             assert first == second and first, name
-        workers = [load_timeseries(str(dirs[0] / f"worker-{i}.jsonl"))
-                   for i in (0, 1)]
+        workers = [load_timeseries(
+            str(dirs[0] / f"worker-{i}" / "timeseries.jsonl"))
+            for i in (0, 1)]
         merged = merge_worker_series(workers)
         assert merged == merge_worker_series(workers)
         assert all(len(row["lanes"]) == 2 for row in merged)
